@@ -1,25 +1,39 @@
 //! What every workload shares: run parameters, the scratch directory,
 //! exact order statistics, process counters, and the result line.
 
+use crate::calib::{Calibrator, NEAREST};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Times a set-up is repeated; `setup_s` is the median, so one slow
-/// repetition (a cold page cache, a scheduler hiccup) does not move it.
+/// repetition (a cold page cache, a burst of the host's load) does not
+/// move it.
 pub const SETUP_REPEATS: usize = 5;
 
 /// The end-to-end metrics, in print order, with their units. Every
 /// workload reports every one of them (see README.md for what an
-/// "item" and an "operation" are on each workload).
-pub const END_TO_END: [(&str, &str); 6] = [
+/// "item" and an "operation" are on each workload). The times are
+/// reference times ([`crate::calib`]): CPU time, scaled by the host's
+/// speed around it. On a shared host the wall time of the same work
+/// moved with the neighbours' load by more than any bound a regression
+/// check could use. CPU time leaves out the time the host ran someone
+/// else on our CPUs (steal) and the time our threads waited for a CPU;
+/// the scale takes out most of the rest.
+pub const END_TO_END: [(&str, &str); 5] = [
     ("setup_s", "s"),
-    ("wall_s", "s"),
-    ("items_per_s", "1/s"),
-    ("p50_ms", "ms"),
-    ("p99_ms", "ms"),
+    ("items_per_ref_s", "1/s"),
+    ("p50_ref_ms", "ms"),
+    ("tail_ref_ms", "ms"),
     ("peak_rss_mb", "MB"),
 ];
+
+/// Worker threads of every stage that takes a count, and client
+/// connections of `serve`. With one, the CPU time of an operation is
+/// its work and nothing else: with two, the same instances cost 15%
+/// more or less CPU time depending on whether the other CPU was busy.
+pub const THREADS: usize = 1;
 
 /// The per-layer metrics of the traced run, with their units. A layer a
 /// workload does not exercise reads 0 there.
@@ -76,9 +90,10 @@ pub struct Params {
     /// Length of the measured window.
     pub seconds: f64,
     pub trace: bool,
-    /// Worker threads for every stage that takes a count: the CPUs this
-    /// process may use.
+    /// Worker threads for every stage that takes a count.
     pub threads: usize,
+    /// The CPUs this process may use, printed as context.
+    pub nproc: usize,
     /// Scratch space inside the working directory (the benchmark reads
     /// and writes nothing outside it).
     pub work_dir: PathBuf,
@@ -102,7 +117,8 @@ impl Params {
             seed,
             seconds,
             trace,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            threads: THREADS,
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
             work_dir,
             tmp,
         })
@@ -138,16 +154,21 @@ impl Drop for TempDir {
     }
 }
 
-/// Times `f` [`SETUP_REPEATS`] times, keeping the last result.
-pub fn repeat_setup<T>(mut f: impl FnMut() -> Result<T, String>) -> Result<(T, Vec<f64>), String> {
-    let mut times = Vec::with_capacity(SETUP_REPEATS);
+/// Times `f` [`SETUP_REPEATS`] times into `m.setup`, with kernel
+/// samples around each repetition, keeping the last result.
+pub fn repeat_setup<T>(
+    m: &mut Measured,
+    mut f: impl FnMut() -> Result<T, String>,
+) -> Result<T, String> {
     let mut last = None;
     for _ in 0..SETUP_REPEATS {
-        let started = Instant::now();
-        last = Some(f()?);
-        times.push(started.elapsed().as_secs_f64());
+        m.calib.sample_n(NEAREST / 2 + 1);
+        let (result, op) = timed(&mut f);
+        last = Some(result?);
+        m.setup.push(op);
     }
-    Ok((last.expect("SETUP_REPEATS > 0"), times))
+    m.calib.sample_n(NEAREST / 2 + 1);
+    Ok(last.expect("SETUP_REPEATS > 0"))
 }
 
 /// The sample at quantile `q` by the nearest-rank rule: always one of
@@ -166,9 +187,78 @@ pub fn median(samples: &[f64]) -> f64 {
     quantile(samples, 0.5)
 }
 
+/// The highest quantile, up to 0.99, that leaves at least ten of `n`
+/// samples beyond it, and never below the median: 0.99 from 1000
+/// samples on. Above it, a quantile is one or two outliers of the run.
+pub fn tail_quantile(n: usize) -> f64 {
+    (1.0 - 10.0 / n as f64).clamp(0.5, 0.99)
+}
+
+#[repr(C)]
+struct Timespec {
+    sec: i64,
+    nsec: i64,
+}
+
+extern "C" {
+    fn clock_gettime(clock: i32, ts: *mut Timespec) -> i32;
+    fn malloc_trim(pad: usize) -> i32;
+}
+
+/// CPU seconds charged to every thread of this process so far.
+pub fn process_cpu_s() -> f64 {
+    const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a valid, writable timespec for the whole call.
+    let rc = unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) };
+    assert_eq!(rc, 0, "clock_gettime(CLOCK_PROCESS_CPUTIME_ID) failed");
+    ts.sec as f64 + ts.nsec as f64 / 1e9
+}
+
+/// Seconds since the process first asked.
+pub fn clock_s() -> f64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64()
+}
+
+/// The times of one operation.
+#[derive(Clone, Copy, Default)]
+pub struct Op {
+    /// Midpoint on [`clock_s`].
+    pub mid_s: f64,
+    pub wall_ms: f64,
+    pub cpu_ms: f64,
+}
+
+/// Runs `f`, timing it on both clocks.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Op) {
+    let cpu = process_cpu_s();
+    let started = clock_s();
+    let out = f();
+    let ended = clock_s();
+    let op = Op {
+        mid_s: (started + ended) / 2.0,
+        wall_ms: (ended - started) * 1e3,
+        cpu_ms: (process_cpu_s() - cpu) * 1e3,
+    };
+    (out, op)
+}
+
 /// Peak resident set size of this process (`VmHWM`) in MB.
 pub fn peak_rss_mb() -> f64 {
     proc_field("/proc/self/status", "VmHWM:").map_or(0.0, |kb| kb as f64 / 1024.0)
+}
+
+/// Hands the heap's free memory back to the kernel, then resets this
+/// process's peak resident set size (`VmHWM`) to its current size, so
+/// that the next [`peak_rss_mb`] gives the peak of what runs in between.
+/// Without the first step, memory an earlier operation freed but the
+/// allocator kept would count towards every later one. False where the
+/// kernel does not allow the reset.
+pub fn reset_peak_rss() -> bool {
+    // SAFETY: malloc_trim only releases free heap memory.
+    unsafe { malloc_trim(0) };
+    std::fs::write("/proc/self/clear_refs", "5").is_ok()
 }
 
 /// `(syscr, rchar)` of this process: read syscalls and bytes read.
@@ -217,47 +307,21 @@ fn commit() -> String {
     }
 }
 
-/// One pass: a fixed group of operations, timed as a whole.
-#[derive(Default)]
-pub struct Pass {
-    pub seconds: f64,
-    /// Items the pass completed.
-    pub items: u64,
-    /// Latency of each of its operations, in ms.
-    pub op_ms: Vec<f64>,
-}
-
-/// A pass needs this many latency samples for its own p99 to have ten
-/// samples beyond it.
-const PER_PASS_P99: usize = 1000;
-
 /// The untraced measurements every workload reduces to the end-to-end
 /// metrics.
 #[derive(Default)]
 pub struct Measured {
-    /// Wall time of each set-up repetition.
-    pub setup_s: Vec<f64>,
-    pub passes: Vec<Pass>,
-}
-
-impl Measured {
-    /// A percentile of the operation latencies. Where every pass holds
-    /// enough samples, it is the median over passes of each pass's own
-    /// percentile, so a stall of the machine in one pass moves it less;
-    /// otherwise it is taken over all samples of the run.
-    fn latency_ms(&self, q: f64) -> f64 {
-        if self.passes.iter().all(|p| p.op_ms.len() >= PER_PASS_P99) {
-            let per_pass: Vec<f64> = self.passes.iter().map(|p| quantile(&p.op_ms, q)).collect();
-            median(&per_pass)
-        } else {
-            let all: Vec<f64> = self
-                .passes
-                .iter()
-                .flat_map(|p| p.op_ms.iter().copied())
-                .collect();
-            quantile(&all, q)
-        }
-    }
+    /// Each set-up repetition.
+    pub setup: Vec<Op>,
+    /// Every operation of the measured window, run one after another.
+    pub ops: Vec<Op>,
+    /// Items the window's operations completed.
+    pub items: u64,
+    /// The peak resident set size of each operation (each batch of
+    /// requests, for `serve`), where it could be reset before it.
+    pub rss_mb: Vec<f64>,
+    /// The host's speed through set-up and window.
+    pub calib: Calibrator,
 }
 
 /// What a workload hands back: counts, metric values, and context.
@@ -290,25 +354,62 @@ impl Outcome {
         self.context.push((key.to_owned(), value.to_string()));
     }
 
-    /// Fills the end-to-end metrics from the untraced measurements.
+    /// Fills the end-to-end metrics from the untraced measurements, and
+    /// records the raw CPU and wall-clock figures of the same operations
+    /// as context: the wall clock is what a user waits for, but on a
+    /// shared host it follows the host's load as much as the program.
     pub fn end_to_end(&mut self, m: &Measured) {
-        let seconds: Vec<f64> = m.passes.iter().map(|p| p.seconds).collect();
-        let rates: Vec<f64> = m
-            .passes
-            .iter()
-            .map(|p| p.items as f64 / p.seconds.max(1e-9))
-            .collect();
-        self.set("setup_s", median(&m.setup_s));
-        self.set("wall_s", median(&seconds));
-        self.set("items_per_s", median(&rates));
-        self.set("p50_ms", m.latency_ms(0.50));
-        self.set("p99_ms", m.latency_ms(0.99));
-        self.set("peak_rss_mb", peak_rss_mb());
-        self.param("passes", m.passes.len());
+        let ref_ms: Vec<f64> = m.ops.iter().map(|o| m.calib.ref_ms(o)).collect();
+        let setup_s: Vec<f64> = m.setup.iter().map(|o| m.calib.ref_ms(o) / 1e3).collect();
+        let wall: Vec<f64> = m.ops.iter().map(|o| o.wall_ms).collect();
+        let sum_s = |v: &[f64]| v.iter().sum::<f64>() / 1e3;
+        let (ref_s, wall_s) = (sum_s(&ref_ms), sum_s(&wall));
+        self.set("setup_s", median(&setup_s));
+        self.set("items_per_ref_s", m.items as f64 / ref_s.max(1e-9));
+        let tail = tail_quantile(ref_ms.len());
+        self.set("p50_ref_ms", quantile(&ref_ms, 0.50));
+        self.set("tail_ref_ms", quantile(&ref_ms, tail));
+        self.param("tail_quantile", format!("{tail:.4}"));
+        // The peak of a whole run is the largest of many random
+        // operations' peaks, and moved by a fifth between seeds on
+        // `evaluate`; a high percentile of the operations' own peaks
+        // does not.
+        if m.rss_mb.is_empty() {
+            self.set("peak_rss_mb", peak_rss_mb());
+            self.param("peak_rss", "VmHWM of the process");
+        } else {
+            let q = tail_quantile(m.rss_mb.len());
+            self.set("peak_rss_mb", quantile(&m.rss_mb, q));
+            self.param(
+                "peak_rss",
+                format!("quantile {q:.4} of {} per-operation peaks", m.rss_mb.len()),
+            );
+        }
+        let (kernel_ms, kernel_samples) = m.calib.summary();
+        self.param("operations", m.ops.len());
+        self.param("items", m.items);
+        self.param("ref_s", format!("{ref_s:.4}"));
         self.param(
-            "latency_samples",
-            m.passes.iter().map(|p| p.op_ms.len()).sum::<usize>(),
+            "cpu_s",
+            format!("{:.4}", m.ops.iter().map(|o| o.cpu_ms).sum::<f64>() / 1e3),
         );
+        let [sort_ms, fault_ms, echo_ms] = m.calib.part_medians();
+        self.param(
+            "kernel_ms",
+            format!(
+                "{kernel_ms:.4} (median of {kernel_samples}; sort {sort_ms:.3}, \
+                 faults {fault_ms:.3}, echo {echo_ms:.3})"
+            ),
+        );
+        self.param("wall_s", format!("{wall_s:.4}"));
+        self.param(
+            "items_per_s",
+            format!("{:.4}", m.items as f64 / wall_s.max(1e-9)),
+        );
+        self.param("p50_ms", format!("{:.4}", quantile(&wall, 0.50)));
+        self.param("p99_ms", format!("{:.4}", quantile(&wall, 0.99)));
+        let setup_wall: Vec<f64> = m.setup.iter().map(|o| o.wall_ms / 1e3).collect();
+        self.param("setup_wall_s", format!("{:.4}", median(&setup_wall)));
     }
 
     /// Prints the context, one metric per line, and the result JSON as
@@ -321,7 +422,7 @@ impl Outcome {
         };
         println!("workload {workload}");
         println!("seed {}", params.seed);
-        println!("nproc {}", params.threads);
+        println!("nproc {}", params.nproc);
         println!("commit {}", commit());
         println!("trace {}", u8::from(params.trace));
         for (key, value) in &self.context {

@@ -3,15 +3,18 @@
 //! regime (no time budget, a tuple cap). The engines do nearly all the
 //! work.
 //!
-//! Operation: one `run()` over one *instance* — a small bib graph and a
-//! small query workload, both drawn from `(seed, instance index)`,
-//! evaluated on every engine. Item: one cell. The measured window
-//! evaluates instance after instance, so a run averages over many
-//! independent graphs and workloads: per-query costs are heavy-tailed and
-//! depend on the hubs of bib's Zipfian graphs, and one large workload per
-//! seed made the figures depend on the seed more than on the code.
+//! Operation: one `run()` over one *instance* — a small bib graph and
+//! one query, both drawn from `(seed, instance index)`, evaluated on
+//! every engine. Item: one cell. The measured window evaluates instance
+//! after instance, so a run averages over many independent graphs and
+//! queries: per-query costs are heavy-tailed and depend on the hubs of
+//! bib's Zipfian graphs, and one large workload per seed made the
+//! figures depend on the seed more than on the code. One query per
+//! instance gives the most operations per window, and so the steadiest
+//! tail percentile.
 
-use crate::common::{self, Measured, Outcome, Params};
+use crate::calib::NEAREST;
+use crate::common::{self, Measured, Op, Outcome, Params};
 use crate::trace::Tracer;
 use gmark::core::gen::{generate_graph, GeneratorOptions};
 use gmark::core::query::{Query, RegularExpr};
@@ -27,27 +30,37 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 const NODES: u64 = 1_000;
-const QUERIES: usize = 4;
+const QUERIES: usize = 1;
 const RECURSION: f64 = 0.4;
 const CONJUNCTS: (usize, usize) = (2, 4);
-const MAX_TUPLES: usize = 50_000;
-/// Operations per pass; `wall_s` is the median pass.
-const BATCH: usize = 8;
+const MAX_TUPLES: usize = 20_000;
 /// Instances the traced run evaluates both ways.
 const TRACED: usize = 48;
 /// Instances evaluated a second time after the window, whose cell
 /// outcomes must repeat exactly.
 const RECHECK: usize = 4;
-/// Seed of the set-up's warm-up instance: fixed, so set-up does the
+/// Seed of the set-up's warm-up instances: fixed, so set-up does the
 /// same work on every `--seed`.
 const WARMUP_SEED: u64 = 1;
+/// Instances one set-up evaluates.
+const WARMUP_INSTANCES: usize = 16;
 /// Sub-expression cache budget: the engines' default.
 const CACHE_MB: usize = gmark::engines::MatrixOptions::DEFAULT_CACHE_MB;
 
-fn workload_config(seed: u64) -> WorkloadConfig {
+/// `items` rotated left by `k`.
+fn rotated<T: Copy>(items: &[T], k: usize) -> Vec<T> {
+    let k = k % items.len();
+    items[k..].iter().chain(&items[..k]).copied().collect()
+}
+
+/// The workload of instance `k`. The generator gives query `i` the
+/// `i`-th shape and selectivity class of its lists (cyclically), so the
+/// lists are rotated by `k`: successive instances cycle through every
+/// shape and every class, not only the first of each.
+fn workload_config(seed: u64, k: usize) -> WorkloadConfig {
     let mut w = WorkloadConfig::new(QUERIES).with_seed(seed);
-    w.selectivities = SelectivityClass::ALL.to_vec();
-    w.shapes = Shape::ALL.to_vec();
+    w.selectivities = rotated(&SelectivityClass::ALL, k);
+    w.shapes = rotated(&Shape::ALL, k);
     w.recursion_probability = RECURSION;
     w.query_size.conjuncts = CONJUNCTS;
     w.query_size.disjuncts = (1, 2);
@@ -65,11 +78,12 @@ fn spec() -> EvalSpec {
     }
 }
 
-/// One instance: its plan and options.
-fn instance(seed: u64, threads: usize) -> Result<(RunPlan, RunOptions), String> {
+/// Instance `k` drawn from `seed`: its plan and options.
+fn instance(seed: u64, k: usize, threads: usize) -> Result<(RunPlan, RunOptions), String> {
+    let seed = common::derive_seed(seed, k);
     let plan = RunPlan::builder(usecases::bib())
         .nodes(NODES)
-        .workload(workload_config(seed))
+        .workload(workload_config(seed, k))
         .eval(spec())
         .build()
         .map_err(|e| e.to_string())?;
@@ -79,18 +93,17 @@ fn instance(seed: u64, threads: usize) -> Result<(RunPlan, RunOptions), String> 
 /// A cell as the result digest sees it.
 type Cell = (usize, char, String, Option<u64>);
 
-/// Runs one instance through `run()`: its wall time and cells.
-fn run_instance(plan: &RunPlan, opts: &RunOptions) -> Result<(f64, Vec<Cell>), String> {
-    let started = Instant::now();
-    let summary = run(plan, opts, &mut NullSink).map_err(|e| e.to_string())?;
-    let seconds = started.elapsed().as_secs_f64();
+/// Runs one instance through `run()`: its times and cells.
+fn run_instance(plan: &RunPlan, opts: &RunOptions) -> Result<(Op, Vec<Cell>), String> {
+    let (summary, op) = common::timed(|| run(plan, opts, &mut NullSink));
+    let summary = summary.map_err(|e| e.to_string())?;
     let eval = summary.eval.ok_or("run() produced no eval summary")?;
     let cells = eval
         .rows
         .into_iter()
         .map(|r| (r.query, r.engine, r.outcome, r.count))
         .collect();
-    Ok((seconds, cells))
+    Ok((op, cells))
 }
 
 /// The per-instance output check: no cell errs (too-large under the cap
@@ -128,22 +141,26 @@ fn digest(cells: &[Cell]) -> u64 {
 }
 
 pub fn run_workload(params: &Params) -> Result<Outcome, String> {
-    let (_, setup_s) = common::repeat_setup(|| {
-        let (plan, opts) = instance(WARMUP_SEED, params.threads)?;
-        run_instance(&plan, &opts).map(|_| ())
+    let mut m = Measured::default();
+    common::repeat_setup(&mut m, || {
+        for k in 0..WARMUP_INSTANCES {
+            let (plan, opts) = instance(WARMUP_SEED, k, params.threads)?;
+            run_instance(&plan, &opts)?;
+        }
+        Ok(())
     })?;
     let mut out = if params.trace {
         traced(params)?
     } else {
-        measured(params, setup_s)?
+        measured(params, m)?
     };
     out.param("nodes", NODES);
     out.param("queries_per_instance", QUERIES);
     out.param(
         "recipe",
         format!(
-            "all shapes, all selectivities, recursion {RECURSION}, conjuncts {CONJUNCTS:?}, \
-             disjuncts (1, 2)"
+            "shape and selectivity class rotating through all per instance, \
+             recursion {RECURSION}, conjuncts {CONJUNCTS:?}, disjuncts (1, 2)"
         ),
     );
     out.param("engines", "PGSD");
@@ -155,38 +172,35 @@ pub fn run_workload(params: &Params) -> Result<Outcome, String> {
     Ok(out)
 }
 
-fn measured(params: &Params, setup_s: Vec<f64>) -> Result<Outcome, String> {
-    let mut m = Measured {
-        setup_s,
-        ..Measured::default()
-    };
+fn measured(params: &Params, mut m: Measured) -> Result<Outcome, String> {
     let (mut attempted, mut failed, mut too_large) = (0u64, 0u64, 0u64);
     let mut digests = Vec::new();
-    let mut pass = common::Pass::default();
     let window = Instant::now();
     let mut k = 0;
-    while m.passes.len() < 2 || window.elapsed().as_secs_f64() < params.seconds {
-        let (plan, opts) = instance(common::derive_seed(params.seed, k), params.threads)?;
-        let (seconds, cells) = run_instance(&plan, &opts)?;
+    while k < 2 || window.elapsed().as_secs_f64() < params.seconds {
+        let (plan, opts) = instance(params.seed, k, params.threads)?;
+        let reset = common::reset_peak_rss();
+        let (op, cells) = run_instance(&plan, &opts)?;
+        if reset {
+            m.rss_mb.push(common::peak_rss_mb());
+        }
         attempted += cells.len() as u64;
         failed += check_cells(&cells);
         too_large += cells.iter().filter(|c| c.2 == "too-large").count() as u64;
         if k < RECHECK {
             digests.push(digest(&cells));
         }
-        pass.seconds += seconds;
-        pass.items += cells.len() as u64;
-        pass.op_ms.push(seconds * 1e3);
+        m.items += cells.len() as u64;
+        m.ops.push(op);
+        m.calib.maybe_sample();
         k += 1;
-        if k % BATCH == 0 {
-            m.passes.push(std::mem::take(&mut pass));
-        }
     }
+    m.calib.sample_n(NEAREST / 2 + 1);
     // The outcomes are a pure function of the inputs: evaluating the
     // first instances again must give the same digest.
     let mut repeatable = true;
     for (i, expected) in digests.iter().enumerate() {
-        let (plan, opts) = instance(common::derive_seed(params.seed, i), params.threads)?;
+        let (plan, opts) = instance(params.seed, i, params.threads)?;
         let (_, cells) = run_instance(&plan, &opts)?;
         if digest(&cells) != *expected {
             eprintln!("evaluate: instance {i} gave different outcomes on a second run");
@@ -195,9 +209,7 @@ fn measured(params: &Params, setup_s: Vec<f64>) -> Result<Outcome, String> {
     }
     let mut out = Outcome::new(attempted, failed, repeatable);
     out.end_to_end(&m);
-    out.param("instances", k);
     out.param("too_large_cells", too_large);
-    out.param("batch", BATCH);
     Ok(out)
 }
 
@@ -220,9 +232,9 @@ fn traced(params: &Params) -> Result<Outcome, String> {
     let mut same = true;
     let mut counts = LayerCounts::default();
     for k in 0..TRACED {
-        let (plan, opts) = instance(common::derive_seed(params.seed, k), params.threads)?;
-        let (seconds, reference) = run_instance(&plan, &opts)?;
-        untraced_s += seconds;
+        let (plan, opts) = instance(params.seed, k, params.threads)?;
+        let (op, reference) = run_instance(&plan, &opts)?;
+        untraced_s += op.wall_ms / 1e3;
         failed += check_cells(&reference);
 
         let op = tracer.begin("op", None);

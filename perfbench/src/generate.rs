@@ -3,7 +3,8 @@
 //! in five syntaxes, written through `DirSink` into a fresh directory.
 //! Operation: one `run()`. Item: one edge written.
 
-use crate::common::{self, Measured, Outcome, Params, TempDir};
+use crate::calib::NEAREST;
+use crate::common::{self, Measured, Op, Outcome, Params, TempDir};
 use crate::trace::Tracer;
 use gmark::core::gen::{generate_graph, GeneratorOptions};
 use gmark::core::workload::generate_workload_with_threads;
@@ -83,25 +84,25 @@ fn check(dir: &Path, edges_written: u64) -> Result<Written, String> {
     })
 }
 
-/// One untraced pass: `run()` into a fresh directory, timed; then the
-/// checks, untimed.
+/// One untraced operation: `run()` into a fresh directory, timed; then
+/// the checks, untimed.
 fn pass(
     params: &Params,
     plan: &RunPlan,
     opts: &RunOptions,
-) -> Result<(f64, Result<Written, String>), String> {
+) -> Result<(Op, Result<Written, String>), String> {
     let dir = TempDir::new(params, "generate")?;
     let mut sink = DirSink::new(dir.path()).map_err(|e| e.to_string())?;
-    let started = Instant::now();
-    let summary = run(plan, opts, &mut sink).map_err(|e| e.to_string())?;
-    let seconds = started.elapsed().as_secs_f64();
+    let (summary, op) = common::timed(|| run(plan, opts, &mut sink));
+    let summary = summary.map_err(|e| e.to_string())?;
     let edges = summary.graph.map_or(0, |g| g.edges_written);
-    Ok((seconds, check(dir.path(), edges)))
+    Ok((op, check(dir.path(), edges)))
 }
 
 pub fn run_workload(params: &Params) -> Result<Outcome, String> {
     let opts = RunOptions::with_seed(params.seed).threads(params.threads);
-    let (plan, setup_s) = common::repeat_setup(|| {
+    let mut m = Measured::default();
+    let plan = common::repeat_setup(&mut m, || {
         let mut warm = plan(
             GEN_NODES / WARMUP_DIVISOR,
             QUERIES / WARMUP_DIVISOR as usize,
@@ -118,28 +119,27 @@ pub fn run_workload(params: &Params) -> Result<Outcome, String> {
     let mut out = if params.trace {
         traced(params, &plan, &opts)?
     } else {
-        let mut m = Measured {
-            setup_s,
-            ..Measured::default()
-        };
         let (mut attempted, mut failed) = (0, 0);
         let window = Instant::now();
         while attempted < 2 || window.elapsed().as_secs_f64() < params.seconds {
-            let (seconds, checked) = pass(params, &plan, &opts)?;
+            let reset = common::reset_peak_rss();
+            let (op, checked) = pass(params, &plan, &opts)?;
+            if reset {
+                m.rss_mb.push(common::peak_rss_mb());
+            }
             attempted += 1;
-            let items = match checked {
-                Ok(w) => w.edges,
+            match checked {
+                Ok(w) => m.items += w.edges,
                 Err(e) => {
                     eprintln!("generate: check failed: {e}");
                     failed += 1;
-                    0
                 }
-            };
-            m.passes.push(common::Pass {
-                seconds,
-                items,
-                op_ms: vec![seconds * 1e3],
-            });
+            }
+            m.ops.push(op);
+            // An operation takes seconds: sample the host's speed
+            // between every two, so each is scaled by samples taken
+            // just before and just after it.
+            m.calib.sample_n(NEAREST / 2 + 1);
         }
         let mut out = Outcome::new(attempted, failed, true);
         out.end_to_end(&m);
@@ -171,8 +171,8 @@ fn traced(params: &Params, plan: &RunPlan, opts: &RunOptions) -> Result<Outcome,
     let (mut syscr, mut read_bytes) = (0, 0);
     for i in 0..REPLAYS {
         let mut untraced = || -> Result<Written, String> {
-            let (seconds, checked) = pass(params, plan, opts)?;
-            untraced_s += seconds;
+            let (op, checked) = pass(params, plan, opts)?;
+            untraced_s += op.wall_ms / 1e3;
             checked.map_err(|e| format!("untraced check failed: {e}"))
         };
         let first = if i % 2 == 0 { Some(untraced()?) } else { None };

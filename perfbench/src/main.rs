@@ -15,6 +15,7 @@
 //! run and that its top-level spans account for the untraced wall time.
 //! See `perfbench/README.md` for the workloads and metric definitions.
 
+mod calib;
 mod common;
 mod eval;
 mod generate;

@@ -1,14 +1,15 @@
 //! `serve`: a closed loop against the daemon, because benchmark clients
-//! wait for each reply. `CLIENTS` keep-alive connections drive an
+//! wait for each reply. `THREADS` (one) keep-alive connections drive an
 //! in-process `gmark::serve::Server` with `WORKERS` workers and a
 //! `CACHE_MB` snapshot cache. Requests follow Zipf(1.0) over `DISTINCT`
 //! bib plans of `NODES` nodes with distinct seeds, built with
 //! `RUN_THREADS` threads, and cycle through a fixed artifact mix. The
 //! cache holds only part of the plans, so hits, builds and evictions
-//! all happen: the median request is a hit and the tail is a build.
-//! Operation and item: one request.
+//! all happen: the median request is a `graph.nt` hit and the tail is a
+//! build. Operation and item: one request.
 
-use crate::common::{self, Measured, Outcome, Params, TempDir};
+use crate::calib::NEAREST;
+use crate::common::{self, Measured, Op, Outcome, Params, TempDir};
 use crate::trace::Tracer;
 use gmark::core::gen::{generate_graph, GeneratorOptions};
 use gmark::run::{run, Artifact, MemorySink, RunOptions, RunPlan};
@@ -34,12 +35,31 @@ const CACHE_MB: usize = 20;
 /// system rather than the program; `generate` measures that pipeline at
 /// a size where it pays.
 const RUN_THREADS: usize = 1;
-const ARTIFACTS: [Artifact; 3] = [Artifact::Graph, Artifact::Sparql, Artifact::Summary];
+/// The artifact each request asks for, by its index modulo the length.
+/// `graph.nt` is about 150 times the bytes of the other two, and about a
+/// fifth of requests are builds, so latencies fall into three groups:
+/// small hits, `graph.nt` hits and builds. With the three artifacts in
+/// equal shares the median request sat on the edge between the first
+/// two and moved with each seed's hit ratio; with `graph.nt` in four
+/// requests of six it falls in the middle of the `graph.nt` hits.
+const ARTIFACTS: [Artifact; 6] = [
+    Artifact::Graph,
+    Artifact::Sparql,
+    Artifact::Graph,
+    Artifact::Graph,
+    Artifact::Summary,
+    Artifact::Graph,
+];
+
 /// Untimed requests after set-up, so the cache reaches its steady mix
 /// of hits and evictions before the window opens.
 const WARMUP: usize = 1_000;
-/// Requests per pass; `wall_s` is the median pass.
-const BATCH: usize = 1_000;
+/// Requests per call of [`drive`] in the window, which ends after the
+/// call in which `--seconds` have passed. The host's speed is sampled
+/// between calls.
+const BATCH: usize = 100;
+/// Requests the window sends at most.
+const MAX_REQUESTS: usize = 400_000;
 /// Requests the traced run sends untraced and as many traced, in
 /// alternating slices so both see the same drift of the machine.
 const TRACED_REQUESTS: usize = 4_000;
@@ -49,7 +69,7 @@ const TRACE_SLICE: usize = 250;
 /// mix, from a direct `run()`.
 struct Plan {
     seed: u64,
-    digests: [u64; 3],
+    digests: [u64; ARTIFACTS.len()],
 }
 
 /// `summary.json` records stage wall times; everything else in it is a
@@ -97,7 +117,7 @@ fn references(params: &Params) -> Result<Vec<Plan>, String> {
             let seed = common::derive_seed(params.seed, i);
             let mut sink = MemorySink::new();
             run(&plan, &served_options(seed), &mut sink).map_err(|e| e.to_string())?;
-            let mut digests = [0; 3];
+            let mut digests = [0; ARTIFACTS.len()];
             for (d, artifact) in digests.iter_mut().zip(ARTIFACTS) {
                 let bytes = sink
                     .bytes(artifact)
@@ -158,19 +178,18 @@ impl Connection {
         Ok(r)
     }
 
-    /// Sends one run request; returns its latency in ms and whether the
-    /// response was a 200 carrying the reference bytes.
+    /// Sends one run request; returns its times and whether the response
+    /// was a 200 carrying the reference bytes.
     /// With a tracer, the request is an `op` span whose one child is the
     /// round trip; the output check runs after both end.
-    fn fire(&mut self, plan: &Plan, slot: usize, tracer: Option<&Tracer>) -> (f64, bool) {
+    fn fire(&mut self, plan: &Plan, slot: usize, tracer: Option<&Tracer>) -> (Op, bool) {
         let artifact = ARTIFACTS[slot];
         let spans = tracer.map(|t| {
             let op = t.begin("op", None);
             (t, op, t.begin("serve.request", Some(op)))
         });
-        let started = Instant::now();
-        let response = self.request("POST", &path(plan, artifact), BIB_XML.as_bytes());
-        let ms = started.elapsed().as_secs_f64() * 1e3;
+        let (response, op) =
+            common::timed(|| self.request("POST", &path(plan, artifact), BIB_XML.as_bytes()));
         if let Some((t, op, request)) = spans {
             t.end(request);
             t.end(op);
@@ -198,7 +217,7 @@ impl Connection {
                 false
             }
         };
-        (ms, ok)
+        (op, ok)
     }
 }
 
@@ -214,14 +233,14 @@ fn sequence(seed: u64, len: usize) -> Vec<usize> {
 
 /// Fires requests `range` of the sequence over the connections, each
 /// claiming the next index when its previous reply is in. Returns the
-/// wall time and one `(ms, ok)` sample per request.
+/// wall time and one `(times, ok)` sample per request.
 fn drive(
     conns: &mut [Connection],
     plans: &[Plan],
     seq: &[usize],
     range: std::ops::Range<usize>,
     tracer: Option<&Tracer>,
-) -> (f64, Vec<(f64, bool)>) {
+) -> (f64, Vec<(Op, bool)>) {
     let next = AtomicUsize::new(range.start);
     let samples = Mutex::new(Vec::with_capacity(range.len()));
     let started = Instant::now();
@@ -322,9 +341,10 @@ fn stats(conn: &mut Connection) -> Result<Stats, String> {
 
 pub fn run_workload(params: &Params) -> Result<Outcome, String> {
     let plans = references(params)?;
-    let seq = sequence(params.seed, WARMUP + 200 * BATCH);
+    let seq = sequence(params.seed, WARMUP + MAX_REQUESTS);
     let mut servers = Vec::new();
-    let (_, setup_s) = common::repeat_setup(|| {
+    let mut m = Measured::default();
+    common::repeat_setup(&mut m, || {
         // Only the last set-up's server stays up.
         for server in servers.drain(..) {
             Server::shutdown(server);
@@ -342,26 +362,25 @@ pub fn run_workload(params: &Params) -> Result<Outcome, String> {
     let result = if params.trace {
         traced(params, &plans, &seq, &mut conns)
     } else {
-        let mut m = Measured {
-            setup_s,
-            ..Measured::default()
-        };
         let window = Instant::now();
         let mut at = WARMUP;
-        while m.passes.len() < 2 || window.elapsed().as_secs_f64() < params.seconds {
+        while at == WARMUP || window.elapsed().as_secs_f64() < params.seconds {
             if at + BATCH > seq.len() {
                 break;
             }
-            let (wall, samples) = drive(&mut conns, &plans, &seq, at..at + BATCH, None);
+            let reset = common::reset_peak_rss();
+            let (_, samples) = drive(&mut conns, &plans, &seq, at..at + BATCH, None);
+            if reset {
+                m.rss_mb.push(common::peak_rss_mb());
+            }
             at += BATCH;
             attempted += samples.len() as u64;
             failed += samples.iter().filter(|(_, ok)| !ok).count() as u64;
-            m.passes.push(common::Pass {
-                seconds: wall,
-                items: samples.len() as u64,
-                op_ms: samples.iter().map(|(ms, _)| *ms).collect(),
-            });
+            m.items += samples.len() as u64;
+            m.ops.extend(samples.iter().map(|(op, _)| *op));
+            m.calib.maybe_sample();
         }
+        m.calib.sample_n(NEAREST / 2 + 1);
         let mut out = Outcome::new(0, 0, true);
         out.end_to_end(&m);
         Ok(out)
@@ -378,7 +397,10 @@ pub fn run_workload(params: &Params) -> Result<Outcome, String> {
     out.param("loop", "closed, keep-alive");
     out.param("workers", WORKERS);
     out.param("cache_mb", CACHE_MB);
-    out.param("artifacts", "graph.nt,workload.sparql,summary.json");
+    out.param(
+        "artifacts",
+        "graph.nt,workload.sparql,graph.nt,graph.nt,summary.json,graph.nt (cycled)",
+    );
     out.param("warmup_requests", WARMUP);
     out.param("batch", BATCH);
     out.param("run_threads", RUN_THREADS);
@@ -447,8 +469,8 @@ fn traced(
     out.set("build.graph_ms", graph_s * 1e3 / DISTINCT as f64);
     out.set("build.workload_ms", workload_s * 1e3 / DISTINCT as f64);
 
-    let untraced_s: f64 = untraced.iter().map(|(ms, _)| ms / 1e3).sum();
-    let traced_s: f64 = traced.iter().map(|(ms, _)| ms / 1e3).sum();
+    let untraced_s: f64 = untraced.iter().map(|(op, _)| op.wall_ms / 1e3).sum();
+    let traced_s: f64 = traced.iter().map(|(op, _)| op.wall_ms / 1e3).sum();
     crate::trace::finish(&mut out, &tracer, params, "serve", untraced_s, traced_s)?;
     Ok(out)
 }
