@@ -10,7 +10,7 @@ use gmark_core::selectivity::graph::{SchemaGraph, SelectivityGraph};
 use gmark_core::selectivity::{Estimator, SelectivityClass};
 use gmark_core::usecases;
 use gmark_core::workload::{generate_workload, WorkloadConfig};
-use gmark_engines::{Budget, EngineKind, EvalContext};
+use gmark_engines::{plan_query, Budget, EngineKind, EvalContext};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -28,13 +28,17 @@ fn engines(c: &mut Criterion) {
         let Some(gq) = workload.of_class(class).next() else {
             continue;
         };
+        let plan = plan_query(&ctx, Some(&schema), &gq.query);
         for kind in EngineKind::ALL {
             group.bench_function(
                 BenchmarkId::new(kind.name().replace('/', "_"), class.to_string()),
                 |b| {
                     b.iter(|| {
                         let budget = Budget::default();
-                        black_box(kind.evaluate(&ctx, &gq.query, &budget).map(|a| a.count()))
+                        black_box(
+                            kind.evaluate_with(&ctx, &gq.query, Some(&plan), &budget)
+                                .map(|a| a.count()),
+                        )
                     })
                 },
             );

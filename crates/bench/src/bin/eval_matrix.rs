@@ -1,6 +1,6 @@
 //! Evaluation-matrix throughput baseline: drives the full
 //! generate → evaluate loop (Section 7 in miniature) through the shared
-//! [`EvalContext`] + [`evaluate_matrix_with_schema`] harness and emits one
+//! [`EvalContext`] + [`evaluate_matrix`] harness and emits one
 //! `BENCH_eval.json` row per invocation — cells/s, outcome counts, and
 //! the process's peak RSS — via the `GMARK_BENCH_JSON` protocol.
 //!
@@ -12,13 +12,10 @@
 //! ```sh
 //! cargo run -p gmark-bench --release --bin eval_matrix -- \
 //!     [--nodes N] [--queries Q] [--threads T] [--budget-ms MS] \
-//!     [--max-tuples N] [--seed S] [--no-plan] [--no-eval-cache]
+//!     [--max-tuples N] [--seed S] [--no-eval-cache]
 //! ```
 //!
-//! `--no-plan` disables the schema-statistics query planner, so
-//! `bench.sh` can record a planner-on vs planner-off pair per thread
-//! count; each JSON row carries a `"plan"` field naming its regime.
-//! `--no-eval-cache` likewise disables the cross-cell sub-expression
+//! `--no-eval-cache` disables the cross-cell sub-expression
 //! result cache, and each row carries a `"cache"` field plus the cache's
 //! fill/hit/miss/rejected counters (zeros when disabled), so the cached
 //! vs uncached row pair pins the cache's contribution across PRs.
@@ -31,9 +28,7 @@ use gmark_core::query::Query;
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::usecases;
 use gmark_core::workload::{generate_workload, Shape, WorkloadConfig};
-use gmark_engines::{
-    evaluate_matrix_with_schema, CellBudget, EngineKind, EvalContext, MatrixOptions,
-};
+use gmark_engines::{evaluate_matrix, CellBudget, EngineKind, EvalContext, MatrixOptions};
 use std::time::{Duration, Instant};
 
 struct Args {
@@ -43,7 +38,6 @@ struct Args {
     budget_ms: u64,
     max_tuples: usize,
     seed: u64,
-    plan: bool,
     cache: bool,
 }
 
@@ -55,7 +49,6 @@ fn parse_args() -> Result<Args, String> {
         budget_ms: 2_000,
         max_tuples: 2_000_000,
         seed: 0x9A9E_2017,
-        plan: true,
         cache: true,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -73,7 +66,6 @@ fn parse_args() -> Result<Args, String> {
                 args.max_tuples = parse(&take_flag_value(&argv, &mut i, &flag)?, &flag)?
             }
             "--seed" => args.seed = parse(&take_flag_value(&argv, &mut i, &flag)?, &flag)?,
-            "--no-plan" => args.plan = false,
             "--no-eval-cache" => args.cache = false,
             other => return Err(format!("unknown argument: {other}")),
         }
@@ -105,8 +97,7 @@ fn main() {
     // "-" cells. At least two conjuncts per query and all four body
     // shapes (chains leave join order forced by connectivity; stars,
     // cycles, and star-chains give the planner real ordering freedom)
-    // keep join *order* in play, which is what the planner-on vs
-    // --no-plan row pair measures.
+    // keep join *order* in play.
     let mut wcfg = WorkloadConfig::new(args.queries).with_seed(args.seed ^ 0xE7A1);
     wcfg.selectivities = SelectivityClass::ALL.to_vec();
     wcfg.shapes = Shape::ALL.to_vec();
@@ -122,7 +113,7 @@ fn main() {
     };
     let ctx = EvalContext::new(&graph);
     let started = Instant::now();
-    let report = evaluate_matrix_with_schema(
+    let report = evaluate_matrix(
         &ctx,
         Some(&schema),
         &queries,
@@ -130,7 +121,6 @@ fn main() {
         &budget,
         &MatrixOptions {
             threads: args.threads,
-            plan: args.plan,
             cache_mb: if args.cache {
                 MatrixOptions::DEFAULT_CACHE_MB
             } else {
@@ -160,13 +150,12 @@ fn main() {
     };
 
     println!(
-        "eval_matrix: bib n={} q={} engines=PGSD threads={} plan={} cache={} -> {} cells in \
+        "eval_matrix: bib n={} q={} engines=PGSD threads={} cache={} -> {} cells in \
          {seconds:.3}s ({cells_per_s:.0} cells/s; {} ok, {} timeout, {} too-large; \
          {fills} fills, {hits} hits / {misses} misses, {rejected} rejected)",
         args.nodes,
         args.queries,
         args.threads,
-        if args.plan { "on" } else { "off" },
         if args.cache { "on" } else { "off" },
         totals.cells,
         totals.ok,
@@ -180,7 +169,7 @@ fn main() {
     let row = format!(
         "{{\"bench\":\"eval_matrix\",\"scenario\":\"bib\",\"nodes\":{},\"queries\":{},\
          \"engines\":\"PGSD\",\"threads\":{},\"budget_ms\":{},\"max_tuples\":{},\
-         \"plan\":{},\"cache\":{},\"cache_fills\":{fills},\"cache_hits\":{hits},\
+         \"plan\":true,\"cache\":{},\"cache_fills\":{fills},\"cache_hits\":{hits},\
          \"cache_misses\":{misses},\"cache_rejected\":{rejected},\
          \"cache_hit_rate\":{hit_rate:.3},\"cells\":{},\
          \"seconds\":{seconds:.6},\"cells_per_s\":{cells_per_s:.1},\"ok\":{},\
@@ -190,7 +179,6 @@ fn main() {
         args.threads,
         args.budget_ms,
         args.max_tuples,
-        args.plan,
         args.cache,
         totals.cells,
         totals.ok,

@@ -115,6 +115,7 @@ fn main() {
             let ctx = EvalContext::new(graph);
             evaluate_matrix(
                 &ctx,
+                None,
                 &queries,
                 &[EngineKind::TripleStore],
                 &opts.cell_budget(),

@@ -57,6 +57,7 @@ fn main() {
             for ((n, _), ctx) in graphs.iter().zip(&contexts) {
                 let report = evaluate_matrix(
                     ctx,
+                    None,
                     &[&gq.query],
                     &[EngineKind::TripleStore],
                     &opts.cell_budget(),

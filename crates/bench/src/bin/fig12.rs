@@ -67,6 +67,7 @@ fn main() {
                 .map(|ctx| {
                     evaluate_matrix(
                         ctx,
+                        None,
                         &queries,
                         &EngineKind::ALL,
                         &opts.cell_budget(),

@@ -32,9 +32,7 @@ use gmark_core::query::Query;
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::usecases;
 use gmark_core::workload::{generate_workload, Shape, Workload, WorkloadConfig};
-use gmark_engines::{
-    evaluate_matrix_with_schema, CellBudget, EngineKind, EvalContext, MatrixOptions,
-};
+use gmark_engines::{evaluate_matrix, CellBudget, EngineKind, EvalContext, MatrixOptions};
 use gmark_store::StoreReader;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -126,7 +124,7 @@ fn matrix_pass(ctx: &EvalContext<'_>, args: &Args, mode_label: &str) -> f64 {
     };
     let schema = usecases::bib();
     let started = Instant::now();
-    let report = evaluate_matrix_with_schema(
+    let report = evaluate_matrix(
         ctx,
         Some(&schema),
         &queries,

@@ -15,7 +15,7 @@
 use gmark_bench::{build_graph, HarnessOptions, WorkloadKind};
 use gmark_core::selectivity::SelectivityClass;
 use gmark_core::usecases;
-use gmark_engines::{Engine, TripleStoreEngine};
+use gmark_engines::{EngineKind, EvalContext};
 use gmark_stats::{log_log_alpha, Summary};
 
 fn main() {
@@ -55,7 +55,13 @@ fn main() {
                 let mut observations = Vec::with_capacity(graphs.len());
                 let mut failed = false;
                 for (n, graph) in &graphs {
-                    match TripleStoreEngine.evaluate(graph, &gq.query, &opts.budget()) {
+                    let ctx = EvalContext::new(graph);
+                    match EngineKind::TripleStore.evaluate_with(
+                        &ctx,
+                        &gq.query,
+                        None,
+                        &opts.budget(),
+                    ) {
                         Ok(answers) => observations.push((*n, answers.count())),
                         Err(_) => {
                             failed = true;

@@ -76,6 +76,7 @@ fn main() {
             let ctx = EvalContext::new(graph);
             evaluate_matrix(
                 &ctx,
+                None,
                 &[&q1, &q2],
                 &EngineKind::ALL,
                 &opts.cell_budget(),

@@ -491,36 +491,22 @@ pub fn graph_edb<'g>(graph: impl Into<GraphView<'g>>, program: &mut Program) -> 
     db
 }
 
-/// Translates a UCRPQ into a Datalog program with answer predicate `ans`
-/// (structurally identical to the textual translation in
-/// `gmark-translate::datalog`).
-pub fn program_from_query(query: &Query) -> Program {
-    let mut prog = Program::new();
-    append_query_rules(&mut prog, query);
-    prog
-}
-
 /// Appends a UCRPQ's rules to an existing program — typically a clone of
 /// the shared-context base program whose `node`/`edge_<p>` ids already
 /// match a prebuilt EDB — returning the interned `ans` predicate id.
 /// Predicates already interned (by name) are reused, so the EDB facts and
-/// the query rules agree on ids without rebuilding either.
-pub fn append_query_rules(prog: &mut Program, query: &Query) -> usize {
-    append_query_rules_planned(prog, query, None)
-}
-
-/// Like [`append_query_rules`], but with the `ans` rule bodies ordered by
-/// a [`crate::planner::QueryPlan`] when one is given. Semi-naive
-/// evaluation joins body atoms left to right, so the planner's
-/// selective-first order bounds the intermediate binding sets the same
-/// way it does for the other engines; the auxiliary path/closure rules
-/// are emitted identically in both modes (only the `ans` body atom order
-/// differs), and the answers never change.
-pub fn append_query_rules_planned(
+/// the query rules agree on ids without rebuilding either. The program is
+/// structurally identical to the textual translation in
+/// `gmark-translate::datalog`, except that each `ans` rule body lists its
+/// atoms in the order of `plan`: semi-naive evaluation joins body atoms
+/// left to right, so the planner's selective-first order bounds the
+/// intermediate binding sets the same way it does for the other engines.
+/// The auxiliary path/closure rules do not depend on the plan.
+pub fn append_query_rules(
     prog: &mut Program,
     query: &Query,
-    plan: Option<&crate::planner::QueryPlan>,
-) -> usize {
+    plan: &crate::planner::QueryPlan,
+) -> Result<usize, EvalError> {
     let node = prog.predicate("node");
     let ans = prog.predicate("ans");
     let mut fresh = 0usize;
@@ -616,21 +602,17 @@ pub fn append_query_rules_planned(
     }
 
     for (ri, rule) in query.rules.iter().enumerate() {
+        let order = plan.rule_order(ri, rule.body.len())?;
         // Auxiliary expression predicates are interned in declaration
-        // order regardless of the plan; only the `ans` body atom order
-        // follows it.
+        // order; only the `ans` body atom order follows the plan.
         let preds: Vec<usize> = rule
             .body
             .iter()
             .map(|c| expr_pred(prog, node, &mut fresh, &c.expr))
             .collect();
-        let order: Vec<usize> = plan
-            .and_then(|p| p.rule_order(ri, rule.body.len()))
-            .map(|o| o.into_iter().map(|(ci, _)| ci).collect())
-            .unwrap_or_else(|| (0..rule.body.len()).collect());
         let body: Vec<Atom> = order
             .into_iter()
-            .map(|ci| {
+            .map(|(ci, _)| {
                 let c = &rule.body[ci];
                 Atom {
                     pred: preds[ci],
@@ -647,7 +629,7 @@ pub fn append_query_rules_planned(
             body,
         );
     }
-    ans
+    Ok(ans)
 }
 
 /// See the module docs.
@@ -655,24 +637,11 @@ pub fn append_query_rules_planned(
 pub struct DatalogEngine;
 
 impl Engine for DatalogEngine {
-    fn name(&self) -> &'static str {
-        "D/datalog"
-    }
-
-    fn evaluate_ctx(
+    fn evaluate(
         &self,
         ctx: &crate::EvalContext<'_>,
         query: &Query,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        self.evaluate_planned(ctx, query, None, budget)
-    }
-
-    fn evaluate_planned(
-        &self,
-        ctx: &crate::EvalContext<'_>,
-        query: &Query,
-        plan: Option<&crate::planner::QueryPlan>,
+        plan: &crate::planner::QueryPlan,
         budget: &Budget,
     ) -> Result<Answers, EvalError> {
         // The per-query program extends a clone of the base program (a
@@ -689,7 +658,7 @@ impl Engine for DatalogEngine {
         // sorted-kernel fast path of [`semi_naive_over`] instead.
         let (base, edb) = ctx.edb();
         let mut program = base.clone();
-        let ans = append_query_rules_planned(&mut program, query, plan);
+        let ans = append_query_rules(&mut program, query, plan)?;
         let idb = semi_naive_over(&program, edb, budget)?;
         let tuples: Vec<Vec<NodeId>> = idb.facts(ans).cloned().collect();
         Ok(Answers::new(query.arity(), tuples))
@@ -699,6 +668,7 @@ impl Engine for DatalogEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval_on;
     use crate::relational::RelationalEngine;
     use gmark_core::query::{Conjunct, Rule, Symbol, Var};
     use gmark_core::schema::PredicateId;
@@ -911,12 +881,8 @@ mod tests {
             ])]),
         ];
         for q in cases {
-            let a = DatalogEngine
-                .evaluate(&graph(), &q, &Budget::default())
-                .unwrap();
-            let b = RelationalEngine
-                .evaluate(&graph(), &q, &Budget::default())
-                .unwrap();
+            let a = eval_on(&DatalogEngine, &graph(), &q, &Budget::default()).unwrap();
+            let b = eval_on(&RelationalEngine, &graph(), &q, &Budget::default()).unwrap();
             assert_eq!(a, b, "mismatch on {q:?}");
         }
     }
@@ -932,9 +898,7 @@ mod tests {
             }],
         })
         .unwrap();
-        let a = DatalogEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval_on(&DatalogEngine, &graph(), &q, &Budget::default()).unwrap();
         assert!(a.non_empty());
     }
 
@@ -946,6 +910,6 @@ mod tests {
             max_tuples: 5,
             ..Budget::default()
         };
-        assert!(DatalogEngine.evaluate(&graph(), &q, &tight).is_err());
+        assert!(eval_on(&DatalogEngine, &graph(), &q, &tight).is_err());
     }
 }

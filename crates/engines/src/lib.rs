@@ -10,8 +10,7 @@
 //!   conjunct with hash joins and a linear-recursion fixpoint for stars,
 //!   like the paper's SQL:1999 translation evaluated bottom-up;
 //! * [`TripleStoreEngine`] (`S`) — per-conjunct automaton (property-path)
-//!   evaluation over sorted indexes, greedy smallest-first conjunct
-//!   ordering, sort-merge joins;
+//!   evaluation over sorted indexes, sort-merge joins;
 //! * [`NavigationalEngine`] (`G`) — seed-driven BFS navigation, evaluating
 //!   the *degraded* query an openCypher system would run (inverses and
 //!   concatenations under `*` are dropped per Section 7.1), hence its
@@ -21,7 +20,8 @@
 //!   ([`datalog`]), the only engine expected to finish every recursive
 //!   query of Table 4.
 //!
-//! All engines implement [`Engine`] and are resource-governed by
+//! All engines implement [`Engine`], join conjuncts in the one order the
+//! statistics planner ([`plan_query`]) chooses, and are resource-governed by
 //! [`Budget`]: exceeding the time or tuple budget aborts with an error —
 //! reproducing the "failed / manually terminated" entries of the paper's
 //! Tables and figures rather than hanging the harness.
@@ -50,8 +50,8 @@ pub use automaton::{compile_nfa, eval_rpq, Nfa};
 pub use context::{EvalCacheStats, EvalContext, SymbolStats};
 pub use datalog::DatalogEngine;
 pub use matrix::{
-    evaluate_matrix, evaluate_matrix_with_schema, CellBudget, CellOutcome, EngineKind, EvalCell,
-    EvalReport, EvalTotals, MatrixOptions, PlanQuality,
+    evaluate_matrix, CellBudget, CellOutcome, EngineKind, EvalCell, EvalReport, EvalTotals,
+    MatrixOptions, PlanQuality,
 };
 pub use navigational::NavigationalEngine;
 pub use planner::{plan_query, ConjunctStep, QueryPlan, RulePlan};
@@ -59,7 +59,7 @@ pub use relational::RelationalEngine;
 pub use triplestore::TripleStoreEngine;
 
 use gmark_core::query::Query;
-use gmark_store::{Graph, NodeId};
+use gmark_store::NodeId;
 use std::time::{Duration, Instant};
 
 /// Resource limits for one evaluation.
@@ -80,22 +80,6 @@ impl Default for Budget {
 }
 
 impl Budget {
-    /// A budget with a wall-clock timeout from now.
-    pub fn with_timeout(timeout: Duration) -> Self {
-        Budget {
-            deadline: Some(Instant::now() + timeout),
-            ..Default::default()
-        }
-    }
-
-    /// A budget with a timeout and a tuple cap.
-    pub fn new(timeout: Duration, max_tuples: usize) -> Self {
-        Budget {
-            deadline: Some(Instant::now() + timeout),
-            max_tuples,
-        }
-    }
-
     /// A budget with an optional timeout (starting now) and a tuple cap:
     /// `None` means no wall-clock deadline at all — the fully deterministic
     /// regime the evaluation-determinism tests pin.
@@ -200,62 +184,20 @@ impl Answers {
 
 /// A UCRPQ evaluation engine.
 pub trait Engine {
-    /// Short system letter + architecture name for reports.
-    fn name(&self) -> &'static str;
-
     /// Evaluates `query` against a shared [`EvalContext`] under a resource
-    /// budget, returning the distinct projected tuples. This is the
-    /// per-query hot path: the context's precomputed indexes (sorted
-    /// relations, Datalog EDB, compiled-NFA cache) are borrowed, never
-    /// rebuilt.
-    fn evaluate_ctx(
-        &self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError>;
-
-    /// Evaluates `query` following a planner-chosen conjunct order (see
-    /// [`planner::plan_query`]). `None` falls back to the engine's legacy
-    /// order, and the default implementation ignores the plan entirely —
-    /// a plan may only change *how* the answer is computed, never *what*
-    /// it is.
-    fn evaluate_planned(
-        &self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        plan: Option<&QueryPlan>,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        let _ = plan;
-        self.evaluate_ctx(ctx, query, budget)
-    }
-
-    /// Evaluates `query` on `graph` under a resource budget.
-    ///
-    /// Convenience for one-off evaluations: builds a fresh (lazy)
-    /// [`EvalContext`] per call. Callers evaluating many queries on the
-    /// same graph should build the context once and use
-    /// [`Engine::evaluate_ctx`] (or the [`evaluate_matrix`] harness) so the
-    /// per-predicate indexes are shared.
+    /// budget, joining each rule's conjuncts in the order `plan` gives
+    /// (see [`planner::plan_query`]), and returns the distinct projected
+    /// tuples. The context's precomputed indexes (sorted relations,
+    /// Datalog EDB, compiled-NFA cache) are borrowed, never rebuilt. A plan
+    /// changes only *how* the answer is computed, never *what* it is; a
+    /// plan that does not fit the query is an [`EvalError::Internal`].
     fn evaluate(
         &self,
-        graph: &Graph,
+        ctx: &EvalContext<'_>,
         query: &Query,
+        plan: &QueryPlan,
         budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        self.evaluate_ctx(&EvalContext::new(graph), query, budget)
-    }
-}
-
-/// All four engines, boxed, in the paper's P/G/S/D report order.
-pub fn all_engines() -> Vec<Box<dyn Engine>> {
-    vec![
-        Box::new(RelationalEngine),
-        Box::new(NavigationalEngine),
-        Box::new(TripleStoreEngine),
-        Box::new(DatalogEngine),
-    ]
+    ) -> Result<Answers, EvalError>;
 }
 
 /// Packs an arity-2 tuple into a `u64` (internal fast path for pair sets).
@@ -268,6 +210,20 @@ pub(crate) fn pack(a: NodeId, b: NodeId) -> u64 {
 #[inline]
 pub(crate) fn unpack(p: u64) -> (NodeId, NodeId) {
     ((p >> 32) as NodeId, p as NodeId)
+}
+
+/// Test helper: plans `query` on a fresh context over `graph` and
+/// evaluates it through `engine`.
+#[cfg(test)]
+pub(crate) fn eval_on(
+    engine: &impl Engine,
+    graph: &gmark_store::Graph,
+    query: &Query,
+    budget: &Budget,
+) -> Result<Answers, EvalError> {
+    let ctx = EvalContext::new(graph);
+    let plan = plan_query(&ctx, None, query);
+    engine.evaluate(&ctx, query, &plan, budget)
 }
 
 #[cfg(test)]
@@ -292,7 +248,7 @@ mod tests {
     #[test]
     fn budget_timeout_fires() {
         // Injected clock: no sleeping, no dependence on scheduler timing.
-        let b = Budget::with_timeout(Duration::from_secs(3600));
+        let b = Budget::with_limits(Some(Duration::from_secs(3600)), usize::MAX);
         let now = Instant::now();
         assert!(b.check_time_at(now).is_ok());
         assert_eq!(

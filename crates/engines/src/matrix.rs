@@ -62,13 +62,13 @@ impl EngineKind {
         }
     }
 
-    /// Letter + architecture name, matching [`Engine::name`].
+    /// Letter + architecture name, for reports.
     pub fn name(self) -> &'static str {
         match self {
-            EngineKind::Relational => RelationalEngine.name(),
-            EngineKind::Navigational => NavigationalEngine.name(),
-            EngineKind::TripleStore => TripleStoreEngine.name(),
-            EngineKind::Datalog => DatalogEngine.name(),
+            EngineKind::Relational => "P/relational",
+            EngineKind::Navigational => "G/navigational",
+            EngineKind::TripleStore => "S/triplestore",
+            EngineKind::Datalog => "D/datalog",
         }
     }
 
@@ -110,20 +110,10 @@ impl EngineKind {
         Ok(engines)
     }
 
-    /// Evaluates one query through this engine against a shared context.
-    pub fn evaluate(
-        self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        self.evaluate_with(ctx, query, None, budget)
-    }
-
-    /// Like [`EngineKind::evaluate`], routed through
-    /// [`Engine::evaluate_planned`] so a shared [`QueryPlan`] can order the
-    /// engine's joins. Plans change *how* an engine evaluates, never *what*
-    /// it answers.
+    /// Evaluates one query through this engine against a shared context,
+    /// joining in `plan`'s order. `None` plans the query here, on graph
+    /// statistics alone ([`plan_query`] without a schema). Plans change
+    /// *how* an engine evaluates, never *what* it answers.
     pub fn evaluate_with(
         self,
         ctx: &EvalContext<'_>,
@@ -131,13 +121,19 @@ impl EngineKind {
         plan: Option<&QueryPlan>,
         budget: &Budget,
     ) -> Result<Answers, EvalError> {
-        match self {
-            EngineKind::Relational => RelationalEngine.evaluate_planned(ctx, query, plan, budget),
-            EngineKind::Navigational => {
-                NavigationalEngine.evaluate_planned(ctx, query, plan, budget)
+        let planned;
+        let plan = match plan {
+            Some(plan) => plan,
+            None => {
+                planned = plan_query(ctx, None, query);
+                &planned
             }
-            EngineKind::TripleStore => TripleStoreEngine.evaluate_planned(ctx, query, plan, budget),
-            EngineKind::Datalog => DatalogEngine.evaluate_planned(ctx, query, plan, budget),
+        };
+        match self {
+            EngineKind::Relational => RelationalEngine.evaluate(ctx, query, plan, budget),
+            EngineKind::Navigational => NavigationalEngine.evaluate(ctx, query, plan, budget),
+            EngineKind::TripleStore => TripleStoreEngine.evaluate(ctx, query, plan, budget),
+            EngineKind::Datalog => DatalogEngine.evaluate(ctx, query, plan, budget),
         }
     }
 }
@@ -190,13 +186,6 @@ pub struct MatrixOptions {
     /// averaged (dropping the fastest and slowest) into
     /// [`EvalCell::seconds`]. `0` keeps the cold run's own time.
     pub warm_runs: usize,
-    /// Whether to run the statistics planner ([`plan_query`]) once per
-    /// query and hand the resulting [`QueryPlan`] to every engine. Plans
-    /// are pure functions of `(schema, graph, query)`, so enabling them
-    /// preserves the thread-count determinism guarantee; disabling them
-    /// reverts every engine to its historical declaration-order /
-    /// per-engine-heuristic behavior.
-    pub plan: bool,
     /// Byte budget (MiB) of the cross-cell sub-expression result cache
     /// ([`EvalContext::fill_expr_cache`]); `0` disables it. The cache is
     /// filled single-threaded during warm-up — before any cell clock
@@ -215,7 +204,6 @@ impl Default for MatrixOptions {
         MatrixOptions {
             threads: 1,
             warm_runs: 0,
-            plan: true,
             cache_mb: MatrixOptions::DEFAULT_CACHE_MB,
         }
     }
@@ -265,10 +253,9 @@ pub struct EvalCell {
     /// What happened.
     pub outcome: CellOutcome,
     /// The planner's estimated answer cardinality for the cell's query
-    /// ([`QueryPlan::est_answers`]), when planning was enabled. Recorded
-    /// next to the actual count so reports can show estimated-vs-actual
-    /// accounting; `None` when the matrix ran with `plan: false`.
-    pub estimate: Option<u64>,
+    /// ([`QueryPlan::est_answers`]). Recorded next to the actual count so
+    /// reports can show estimated-vs-actual accounting.
+    pub estimate: u64,
     /// Measured wall time (warm-run mean when warm runs were requested).
     /// Nondeterministic by nature — it never enters
     /// [`EvalReport::render`]; use [`EvalCell::time_bucket`] for the
@@ -277,13 +264,13 @@ pub struct EvalCell {
 }
 
 impl EvalCell {
-    /// The deterministic cell label: `est~count` for a completed cell with
-    /// a planner estimate (estimated cardinality before the `~`, actual
-    /// after), otherwise [`CellOutcome::label`].
+    /// The deterministic cell label: `est~count` for a completed cell
+    /// (estimated cardinality before the `~`, actual after), otherwise
+    /// [`CellOutcome::label`].
     pub fn label(&self) -> String {
-        match (&self.outcome, self.estimate) {
-            (CellOutcome::Answers { count, .. }, Some(est)) => format!("{est}~{count}"),
-            _ => self.outcome.label(),
+        match &self.outcome {
+            CellOutcome::Answers { count, .. } => format!("{}~{count}", self.estimate),
+            CellOutcome::Failed(_) => self.outcome.label(),
         }
     }
 
@@ -330,7 +317,7 @@ pub struct EvalTotals {
 /// cells — see [`EvalReport::plan_quality`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanQuality {
-    /// Completed cells carrying a planner estimate.
+    /// Completed cells (each carries a planner estimate).
     pub estimated_ok: usize,
     /// Of those, cells whose estimate is within a factor of 10 of the
     /// actual count (both directions; two empty results count as within).
@@ -429,20 +416,19 @@ impl EvalReport {
         out
     }
 
-    /// Estimated-vs-actual aggregates over the completed cells that carry
-    /// a planner estimate; `None` when the matrix ran without planning.
-    /// Integer arithmetic throughout — the numbers are part of the
-    /// byte-compared report.
+    /// Estimated-vs-actual aggregates over the completed cells; `None`
+    /// for a matrix without cells. Integer arithmetic throughout — the
+    /// numbers are part of the byte-compared report.
     pub fn plan_quality(&self) -> Option<PlanQuality> {
-        if !self.cells.iter().any(|c| c.estimate.is_some()) {
+        if self.cells.is_empty() {
             return None;
         }
         let mut q = PlanQuality::default();
         for cell in &self.cells {
-            let (CellOutcome::Answers { count, .. }, Some(est)) = (&cell.outcome, cell.estimate)
-            else {
+            let CellOutcome::Answers { count, .. } = &cell.outcome else {
                 continue;
             };
+            let est = cell.estimate;
             q.estimated_ok += 1;
             q.est_total += u128::from(est);
             q.actual_total += u128::from(*count);
@@ -484,28 +470,18 @@ impl EvalReport {
 
 /// Evaluates every (query × engine) cell of a workload, in parallel.
 ///
-/// Worker threads claim cell indices from a shared counter; each cell gets
-/// a fresh budget from `budget` ([`CellBudget::start`]) and runs
-/// [`EngineKind::evaluate`] against the shared context (optionally
-/// repeated `warm_runs` times for the Section 7.1 timing protocol).
-/// Results are reassembled in ascending `(query index, engine position)`
-/// order, so the report layout is independent of scheduling.
+/// Every query is planned once ([`plan_query`]) and the plan is shared by
+/// all engine columns. The generating `schema`, when given, sharpens the
+/// cost model's star estimates (the selectivity algebra decides which
+/// transitive closures are quadratic); without it the planner runs on
+/// graph statistics alone. Worker threads then claim cell indices from a
+/// shared counter; each cell gets a fresh budget from `budget`
+/// ([`CellBudget::start`]) and runs [`EngineKind::evaluate_with`] against
+/// the shared context (optionally repeated `warm_runs` times for the
+/// Section 7.1 timing protocol). Results are reassembled in ascending
+/// `(query index, engine position)` order, so the report layout is
+/// independent of scheduling.
 pub fn evaluate_matrix(
-    ctx: &EvalContext<'_>,
-    queries: &[&Query],
-    engines: &[EngineKind],
-    budget: &CellBudget,
-    options: &MatrixOptions,
-) -> EvalReport {
-    evaluate_matrix_with_schema(ctx, None, queries, engines, budget, options)
-}
-
-/// [`evaluate_matrix`] with the generating schema available to the
-/// planner. The schema sharpens the cost model's star estimates (the
-/// selectivity algebra decides which transitive closures are quadratic);
-/// without it the planner still runs on graph statistics alone. When
-/// `options.plan` is false the schema is unused.
-pub fn evaluate_matrix_with_schema(
     ctx: &EvalContext<'_>,
     schema: Option<&Schema>,
     queries: &[&Query],
@@ -521,10 +497,8 @@ pub fn evaluate_matrix_with_schema(
     // before any cell clock starts (it is context warm-up work, not query
     // evaluation) and is a pure function of `(schema, graph, query)`, so
     // it cannot perturb the thread-count determinism guarantee.
-    let plans: Option<Vec<QueryPlan>> = options
-        .plan
-        .then(|| queries.iter().map(|q| plan_query(ctx, schema, q)).collect());
-    let plans = plans.as_deref();
+    let plans: Vec<QueryPlan> = queries.iter().map(|q| plan_query(ctx, schema, q)).collect();
+    let plans = &plans[..];
 
     let cells: Vec<EvalCell> = if threads <= 1 {
         (0..cell_count)
@@ -597,7 +571,6 @@ fn warm_context(
     budget: &CellBudget,
     options: &MatrixOptions,
 ) {
-    let plan = options.plan;
     if engines.contains(&EngineKind::Datalog) {
         let _ = ctx.edb();
     }
@@ -634,16 +607,14 @@ fn warm_context(
         }
         ctx.fill_expr_cache(&exprs, options.cache_mb, || budget.start());
     }
-    if plan {
-        // The planner reads per-predicate distinct-endpoint statistics;
-        // warm them for every mentioned symbol so plan construction is
-        // never billed to a cell.
-        for query in queries {
-            for rule in &query.rules {
-                for conjunct in &rule.body {
-                    for sym in conjunct.expr.symbols() {
-                        let _ = ctx.symbol_stats(sym);
-                    }
+    // The planner reads per-predicate distinct-endpoint statistics; warm
+    // them for every mentioned symbol so plan construction is never billed
+    // to a cell.
+    for query in queries {
+        for rule in &query.rules {
+            for conjunct in &rule.body {
+                for sym in conjunct.expr.symbols() {
+                    let _ = ctx.symbol_stats(sym);
                 }
             }
         }
@@ -666,18 +637,18 @@ fn run_cell(
     engines: &[EngineKind],
     budget: &CellBudget,
     warm_runs: usize,
-    plans: Option<&[QueryPlan]>,
+    plans: &[QueryPlan],
     ci: usize,
 ) -> EvalCell {
     let query_idx = ci / engines.len();
     let kind = engines[ci % engines.len()];
     let query = queries[query_idx];
-    let plan = plans.map(|p| &p[query_idx]);
+    let plan = &plans[query_idx];
 
     // Cold run: decides the outcome and the fallback timing.
     let cold_budget = budget.start();
     let started = Instant::now();
-    let result = kind.evaluate_with(ctx, query, plan, &cold_budget);
+    let result = kind.evaluate_with(ctx, query, Some(plan), &cold_budget);
     let mut seconds = started.elapsed().as_secs_f64();
 
     let outcome = match result {
@@ -688,7 +659,10 @@ fn run_cell(
                 for _ in 0..warm_runs {
                     let warm_budget = budget.start();
                     let t0 = Instant::now();
-                    if kind.evaluate_with(ctx, query, plan, &warm_budget).is_ok() {
+                    if kind
+                        .evaluate_with(ctx, query, Some(plan), &warm_budget)
+                        .is_ok()
+                    {
                         times.push(t0.elapsed().as_secs_f64());
                     }
                 }
@@ -707,7 +681,7 @@ fn run_cell(
         query: query_idx,
         engine: kind,
         outcome,
-        estimate: plan.map(|p| p.est_answers),
+        estimate: plan.est_answers,
         seconds,
     }
 }
@@ -799,6 +773,7 @@ mod tests {
         let budget = CellBudget::default();
         let base = evaluate_matrix(
             &ctx,
+            None,
             &q_refs,
             &EngineKind::ALL,
             &budget,
@@ -808,6 +783,7 @@ mod tests {
         for threads in [2, 8] {
             let report = evaluate_matrix(
                 &ctx,
+                None,
                 &q_refs,
                 &EngineKind::ALL,
                 &budget,
@@ -833,6 +809,7 @@ mod tests {
         let engines = [EngineKind::TripleStore, EngineKind::Datalog];
         let report = evaluate_matrix(
             &ctx,
+            None,
             &q_refs,
             &engines,
             &CellBudget::default(),
@@ -855,6 +832,7 @@ mod tests {
         let q_refs: Vec<&Query> = qs.iter().collect();
         let report = evaluate_matrix(
             &ctx,
+            None,
             &q_refs,
             &EngineKind::ALL,
             &CellBudget::default(),
@@ -884,6 +862,7 @@ mod tests {
         };
         let a = evaluate_matrix(
             &ctx,
+            None,
             &q_refs,
             &EngineKind::ALL,
             &tight,
@@ -891,6 +870,7 @@ mod tests {
         );
         let b = evaluate_matrix(
             &ctx,
+            None,
             &q_refs,
             &EngineKind::ALL,
             &tight,
@@ -915,6 +895,7 @@ mod tests {
         };
         let report = evaluate_matrix(
             &ctx,
+            None,
             &q_refs,
             &EngineKind::ALL,
             &expired,
@@ -932,6 +913,7 @@ mod tests {
         let q_refs: Vec<&Query> = qs.iter().collect();
         let report = evaluate_matrix(
             &ctx,
+            None,
             &q_refs,
             &[EngineKind::Relational],
             &CellBudget::default(),
@@ -942,50 +924,13 @@ mod tests {
         assert!(text.contains("q0"), "{text}");
         assert!(text.contains("first"), "{text}");
         assert!(text.contains("(3 total)\n"), "{text}");
-        // Planning is on by default, so ok cells read `est~count` and the
-        // report closes with the plan-quality line.
+        // Ok cells read `est~count` and the report closes with the
+        // plan-quality line.
         assert!(text.contains('~'), "{text}");
         let last = text.lines().last().unwrap();
         assert!(last.starts_with("plan: "), "{text}");
         let times = report.render_times();
         assert!(times.contains("ms") || times.contains('s'), "{times}");
-    }
-
-    #[test]
-    fn planner_changes_labels_but_never_outcomes() {
-        let g = graph();
-        let ctx = EvalContext::new(&g);
-        let qs = queries();
-        let q_refs: Vec<&Query> = qs.iter().collect();
-        let budget = CellBudget::default();
-        let planned = evaluate_matrix(
-            &ctx,
-            &q_refs,
-            &EngineKind::ALL,
-            &budget,
-            &MatrixOptions::default(),
-        );
-        let unplanned = evaluate_matrix(
-            &ctx,
-            &q_refs,
-            &EngineKind::ALL,
-            &budget,
-            &MatrixOptions {
-                plan: false,
-                ..MatrixOptions::default()
-            },
-        );
-        for (a, b) in planned.cells.iter().zip(&unplanned.cells) {
-            assert_eq!(a.outcome, b.outcome, "q{} {}", a.query, a.engine);
-            assert!(a.estimate.is_some());
-            assert!(b.estimate.is_none());
-        }
-        assert!(planned.plan_quality().is_some());
-        assert!(unplanned.plan_quality().is_none());
-        // Without estimates the unplanned report has no plan line and
-        // plain count labels.
-        assert!(!unplanned.render().contains("plan:"));
-        assert!(!unplanned.render().contains('~'));
     }
 
     #[test]

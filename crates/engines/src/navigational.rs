@@ -13,8 +13,9 @@
 //!    returning empty/deviating results in Table 4.
 //! 2. **Seed-driven navigation.** Evaluation expands bindings conjunct by
 //!    conjunct from already-bound variables (pattern matching by
-//!    traversal), rather than materializing whole relations. Starting
-//!    seeds are the candidate nodes of the first conjunct's source.
+//!    traversal) in the planner's order, rather than materializing whole
+//!    relations. A conjunct whose seed variable is still unbound is
+//!    explored from every node.
 //!
 //! Variable-length patterns in openCypher also bind at least one hop by
 //! default (`*` means `*1..`); gMark's star includes ε. The translator
@@ -94,24 +95,11 @@ fn degrade_expr(expr: &RegularExpr, lossy: &mut bool) -> RegularExpr {
 }
 
 impl Engine for NavigationalEngine {
-    fn name(&self) -> &'static str {
-        "G/navigational"
-    }
-
-    fn evaluate_ctx(
+    fn evaluate(
         &self,
         ctx: &EvalContext<'_>,
         query: &Query,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        self.evaluate_planned(ctx, query, None, budget)
-    }
-
-    fn evaluate_planned(
-        &self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        plan: Option<&QueryPlan>,
+        plan: &QueryPlan,
         budget: &Budget,
     ) -> Result<Answers, EvalError> {
         // Degradation rewrites conjunct *expressions* only — rule and
@@ -120,10 +108,7 @@ impl Engine for NavigationalEngine {
         let (query, _lossy) = degrade_for_cypher(query);
         let mut tuples = Vec::new();
         for (ri, rule) in query.rules.iter().enumerate() {
-            let order = match plan.and_then(|p| p.rule_order(ri, rule.body.len())) {
-                Some(order) => order,
-                None => anchor_order(rule)?,
-            };
+            let order = plan.rule_order(ri, rule.body.len())?;
             let table = eval_rule(ctx, rule, &order, budget)?;
             tuples.extend(project(&table, rule)?);
             budget.check_size(tuples.len())?;
@@ -132,8 +117,8 @@ impl Engine for NavigationalEngine {
     }
 }
 
-/// Seed-driven evaluation along a caller-chosen `(conjunct, flip)` order
-/// (the planner's, or the legacy [`anchor_order`]): each conjunct's pairs
+/// Seed-driven evaluation along the planner's `(conjunct, flip)` order:
+/// each conjunct's pairs
 /// are computed by automaton BFS *from the currently bound seeds only*,
 /// flipped conjuncts traversing their reversed expression from the
 /// target side.
@@ -288,46 +273,11 @@ fn merge_tables(
     Ok(crate::joiner::BindingTable { vars, rows })
 }
 
-/// Orders conjuncts so each (after the first) touches an already-bound
-/// variable, flipping traversal direction when only the target is bound.
-/// A broken ordering invariant surfaces as [`EvalError::Internal`] — one
-/// malformed query fails its matrix cell instead of aborting the run.
-fn anchor_order(rule: &Rule) -> Result<Vec<(usize, bool)>, EvalError> {
-    let n = rule.body.len();
-    let mut used = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut bound: Vec<Var> = Vec::new();
-    for _ in 0..n {
-        let pick = (0..n)
-            .filter(|&i| !used[i])
-            .find(|&i| bound.contains(&rule.body[i].src))
-            .map(|i| (i, false))
-            .or_else(|| {
-                (0..n)
-                    .filter(|&i| !used[i])
-                    .find(|&i| bound.contains(&rule.body[i].trg))
-                    .map(|i| (i, true))
-            })
-            .or_else(|| (0..n).find(|&i| !used[i]).map(|i| (i, false)))
-            .ok_or_else(|| {
-                EvalError::Internal("conjunct ordering ran out of unused conjuncts".to_owned())
-            })?;
-        used[pick.0] = true;
-        for v in [rule.body[pick.0].src, rule.body[pick.0].trg] {
-            if !bound.contains(&v) {
-                bound.push(v);
-            }
-        }
-        order.push(pick);
-    }
-    Ok(order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval_on;
     use crate::relational::RelationalEngine;
-    use crate::Engine;
     use gmark_core::query::Symbol;
     use gmark_core::schema::PredicateId;
     use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
@@ -378,12 +328,8 @@ mod tests {
             chain(vec![RegularExpr::star(vec![PathExpr(vec![sym(0)])])]),
         ];
         for q in cases {
-            let a = NavigationalEngine
-                .evaluate(&graph(), &q, &Budget::default())
-                .unwrap();
-            let b = RelationalEngine
-                .evaluate(&graph(), &q, &Budget::default())
-                .unwrap();
+            let a = eval_on(&NavigationalEngine, &graph(), &q, &Budget::default()).unwrap();
+            let b = eval_on(&RelationalEngine, &graph(), &q, &Budget::default()).unwrap();
             assert_eq!(a, b, "mismatch on {q:?}");
         }
     }
@@ -396,12 +342,8 @@ mod tests {
             sym(0).flipped(),
             sym(0),
         ])])]);
-        let nav = NavigationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
-        let reference = RelationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let nav = eval_on(&NavigationalEngine, &graph(), &q, &Budget::default()).unwrap();
+        let reference = eval_on(&RelationalEngine, &graph(), &q, &Budget::default()).unwrap();
         assert_ne!(nav, reference, "degradation should be observable here");
     }
 
@@ -446,56 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn anchor_order_flips_when_needed() {
-        // Body: (?x1, a, ?x0), (?x1, b, ?x2) — after the first conjunct
-        // binds x1/x0, the second anchors at x1 forward.
-        let rule = Rule {
-            head: vec![Var(0), Var(2)],
-            body: vec![
-                Conjunct {
-                    src: Var(1),
-                    expr: RegularExpr::symbol(sym(0)),
-                    trg: Var(0),
-                },
-                Conjunct {
-                    src: Var(1),
-                    expr: RegularExpr::symbol(sym(1)),
-                    trg: Var(2),
-                },
-            ],
-        };
-        let order = anchor_order(&rule).unwrap();
-        assert_eq!(order, vec![(0, false), (1, false)]);
-    }
-
-    #[test]
-    fn planned_order_preserves_answers() {
-        // The planner may pick any anchor order; answers must not change,
-        // degraded or not.
-        let cases = vec![
-            chain(vec![
-                RegularExpr::symbol(sym(0)),
-                RegularExpr::symbol(sym(1)),
-            ]),
-            chain(vec![
-                RegularExpr::star(vec![PathExpr(vec![sym(0), sym(1)])]),
-                RegularExpr::symbol(sym(1).flipped()),
-            ]),
-        ];
-        let g = graph();
-        let ctx = crate::EvalContext::new(&g);
-        for q in cases {
-            let plan = crate::planner::plan_query(&ctx, None, &q);
-            let budget = Budget::default();
-            let planned = NavigationalEngine
-                .evaluate_planned(&ctx, &q, Some(&plan), &budget)
-                .unwrap();
-            let unplanned = NavigationalEngine.evaluate_ctx(&ctx, &q, &budget).unwrap();
-            assert_eq!(planned, unplanned, "on {q:?}");
-        }
-    }
-
-    #[test]
     fn boolean_query_works() {
         let q = Query::single(Rule {
             head: vec![],
@@ -506,9 +398,7 @@ mod tests {
             }],
         })
         .unwrap();
-        let a = NavigationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval_on(&NavigationalEngine, &graph(), &q, &Budget::default()).unwrap();
         assert!(a.non_empty());
     }
 }

@@ -7,9 +7,10 @@
 //! declaration order, the navigational engine anchored at the first
 //! conjunct with a bound source, the triple store picked
 //! smallest-materialized-first, and the Datalog translation emitted rule
-//! bodies verbatim. [`plan_query`] replaces all four ad-hoc orders with
+//! bodies verbatim. [`plan_query`] replaced all four ad-hoc orders with
 //! one plan per query, computed **once** in
-//! [`crate::matrix::evaluate_matrix`] and consumed by every engine cell.
+//! [`crate::matrix::evaluate_matrix`] and consumed by every engine cell;
+//! it is now the only join order the engines know.
 //!
 //! # Statistics inputs
 //!
@@ -57,6 +58,7 @@
 //! contract the rest of the pipeline keeps.
 
 use crate::context::EvalContext;
+use crate::EvalError;
 use gmark_core::query::{PathExpr, Query, RegularExpr, Rule, Symbol, Var};
 use gmark_core::schema::Schema;
 use gmark_core::selectivity::Estimator;
@@ -105,23 +107,25 @@ pub struct QueryPlan {
 
 impl QueryPlan {
     /// The planned `(conjunct, flip)` order of rule `ri`, validated to be
-    /// a permutation of a `body_len`-conjunct body. `None` when the plan
-    /// does not cover the rule or does not fit it (defensive: a stale or
-    /// mismatched plan makes callers fall back to their legacy order
-    /// instead of evaluating the wrong conjuncts).
-    pub fn rule_order(&self, ri: usize, body_len: usize) -> Option<Vec<(usize, bool)>> {
-        let rp = self.rules.get(ri)?;
+    /// a permutation of a `body_len`-conjunct body. A plan that does not
+    /// cover the rule or does not fit it (a stale or mismatched plan) is
+    /// an [`EvalError::Internal`]: the engines have no other join order
+    /// to fall back to, and evaluating the wrong conjuncts would be worse.
+    pub fn rule_order(&self, ri: usize, body_len: usize) -> Result<Vec<(usize, bool)>, EvalError> {
+        let mismatch = || EvalError::Internal(format!("plan does not fit rule {ri}"));
+        let rp = self.rules.get(ri).ok_or_else(mismatch)?;
         if rp.steps.len() != body_len {
-            return None;
+            return Err(mismatch());
         }
         let mut seen = vec![false; body_len];
         for s in &rp.steps {
-            if *seen.get(s.conjunct)? {
-                return None;
+            let slot = seen.get_mut(s.conjunct).ok_or_else(mismatch)?;
+            if *slot {
+                return Err(mismatch());
             }
-            seen[s.conjunct] = true;
+            *slot = true;
         }
-        Some(rp.steps.iter().map(|s| (s.conjunct, s.flip)).collect())
+        Ok(rp.steps.iter().map(|s| (s.conjunct, s.flip)).collect())
     }
 }
 
@@ -493,7 +497,19 @@ mod tests {
         let plan = plan_query(&ctx, None, &q);
         let order = plan.rule_order(0, 2).unwrap();
         assert_eq!(order.len(), 2);
-        assert!(plan.rule_order(1, 2).is_none(), "no such rule");
-        assert!(plan.rule_order(0, 3).is_none(), "wrong body length");
+        assert!(
+            matches!(plan.rule_order(1, 2), Err(EvalError::Internal(_))),
+            "no such rule"
+        );
+        assert!(
+            matches!(plan.rule_order(0, 3), Err(EvalError::Internal(_))),
+            "wrong body length"
+        );
+        let mut repeated = plan.clone();
+        repeated.rules[0].steps[1].conjunct = repeated.rules[0].steps[0].conjunct;
+        assert!(
+            matches!(repeated.rule_order(0, 2), Err(EvalError::Internal(_))),
+            "a conjunct picked twice"
+        );
     }
 }

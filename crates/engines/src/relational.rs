@@ -3,9 +3,9 @@
 //! Evaluates exactly the plan the paper's SQL:1999 translation induces:
 //! every conjunct becomes a fully materialized binary relation (scans +
 //! joins + `UNION`s; a `WITH RECURSIVE` linear-recursion fixpoint for
-//! stars), and conjuncts are then hash-joined left-to-right in declaration
-//! order — a straightforward evaluation with no property-path shortcuts
-//! and no join reordering.
+//! stars), and conjuncts are then hash-joined left-to-right in the
+//! planner's order — a straightforward evaluation with no property-path
+//! shortcuts.
 //!
 //! Profile reproduced from the paper: strong on constant- and
 //! linear-selectivity non-recursive queries (Fig. 12(a)/(b), where "P
@@ -23,37 +23,19 @@ use gmark_core::query::Query;
 pub struct RelationalEngine;
 
 impl Engine for RelationalEngine {
-    fn name(&self) -> &'static str {
-        "P/relational"
-    }
-
-    fn evaluate_ctx(
+    fn evaluate(
         &self,
         ctx: &EvalContext<'_>,
         query: &Query,
-        budget: &Budget,
-    ) -> Result<Answers, EvalError> {
-        self.evaluate_planned(ctx, query, None, budget)
-    }
-
-    fn evaluate_planned(
-        &self,
-        ctx: &EvalContext<'_>,
-        query: &Query,
-        plan: Option<&QueryPlan>,
+        plan: &QueryPlan,
         budget: &Budget,
     ) -> Result<Answers, EvalError> {
         let mut tuples = Vec::new();
         for (ri, rule) in query.rules.iter().enumerate() {
-            // Materialize each conjunct — in the planner's join order
-            // when a plan is given, declaration order otherwise; base
+            // Materialize each conjunct in the planner's join order; base
             // symbol relations are the context's shared sorted indexes.
-            let order: Vec<usize> = plan
-                .and_then(|p| p.rule_order(ri, rule.body.len()))
-                .map(|o| o.into_iter().map(|(ci, _)| ci).collect())
-                .unwrap_or_else(|| (0..rule.body.len()).collect());
             let mut conjuncts = Vec::with_capacity(rule.body.len());
-            for &ci in &order {
+            for (ci, _) in plan.rule_order(ri, rule.body.len())? {
                 let c = &rule.body[ci];
                 // A sub-expression cache hit mounts the shared relation
                 // directly (charged its cardinality check only); a miss
@@ -76,6 +58,7 @@ impl Engine for RelationalEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval_on;
     use gmark_core::query::{Conjunct, PathExpr, RegularExpr, Rule, Symbol, Var};
     use gmark_core::schema::PredicateId;
     use gmark_store::{EdgeSink, Graph, GraphBuilder, TypePartition};
@@ -107,9 +90,7 @@ mod tests {
             }],
         })
         .unwrap();
-        let a = RelationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval_on(&RelationalEngine, &graph(), &q, &Budget::default()).unwrap();
         assert_eq!(a.tuples, vec![vec![1, 3], vec![2, 3]]);
     }
 
@@ -132,9 +113,7 @@ mod tests {
             ],
         })
         .unwrap();
-        let a = RelationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval_on(&RelationalEngine, &graph(), &q, &Budget::default()).unwrap();
         // a·b pairs: (0,3) via 1, (1,3) via 2, (3,3) via 1.
         assert_eq!(a.tuples, vec![vec![0, 3], vec![1, 3], vec![3, 3]]);
     }
@@ -150,9 +129,7 @@ mod tests {
             }],
         })
         .unwrap();
-        let a = RelationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval_on(&RelationalEngine, &graph(), &q, &Budget::default()).unwrap();
         let nfa_pairs = crate::automaton::eval_rpq_pairs(
             &graph(),
             &q.rules[0].body[0].expr,
@@ -174,9 +151,7 @@ mod tests {
             }],
         })
         .unwrap();
-        let a = RelationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval_on(&RelationalEngine, &graph(), &q, &Budget::default()).unwrap();
         assert!(a.non_empty());
         assert_eq!(a.count(), 1);
     }
@@ -192,9 +167,7 @@ mod tests {
             }],
         };
         let q = Query::new(vec![mk(0), mk(1)]).unwrap();
-        let a = RelationalEngine
-            .evaluate(&graph(), &q, &Budget::default())
-            .unwrap();
+        let a = eval_on(&RelationalEngine, &graph(), &q, &Budget::default()).unwrap();
         assert_eq!(a.count(), 6); // 4 a-edges + 2 b-edges, all distinct
     }
 
@@ -213,6 +186,6 @@ mod tests {
             max_tuples: 2,
             ..Budget::default()
         };
-        assert!(RelationalEngine.evaluate(&graph(), &q, &tight).is_err());
+        assert!(eval_on(&RelationalEngine, &graph(), &q, &tight).is_err());
     }
 }

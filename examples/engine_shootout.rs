@@ -71,7 +71,14 @@ fn main() {
             .expect("plan generates a graph");
         let ctx = EvalContext::new(&graph);
         let queries: Vec<&Query> = workload.queries.iter().map(|gq| &gq.query).collect();
-        let report = evaluate_matrix(&ctx, &queries, &EngineKind::ALL, &budget, &matrix_opts);
+        let report = evaluate_matrix(
+            &ctx,
+            Some(&schema),
+            &queries,
+            &EngineKind::ALL,
+            &budget,
+            &matrix_opts,
+        );
 
         for class in SelectivityClass::ALL {
             let rows: Vec<usize> = workload

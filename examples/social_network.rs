@@ -70,10 +70,13 @@ fn main() -> Result<(), GmarkError> {
 
     // Evaluate on the instance with each engine under a 20 s budget.
     println!("\nengine comparison on the recursive closure:");
-    for engine in all_engines() {
-        let budget = Budget::with_timeout(Duration::from_secs(20));
+    let ctx = EvalContext::new(&graph);
+    let closure_plan = plan_query(&ctx, Some(&schema), &closure);
+    for engine in EngineKind::ALL {
+        let budget =
+            Budget::with_limits(Some(Duration::from_secs(20)), Budget::default().max_tuples);
         let start = std::time::Instant::now();
-        match engine.evaluate(&graph, &closure, &budget) {
+        match engine.evaluate_with(&ctx, &closure, Some(&closure_plan), &budget) {
             Ok(answers) => println!(
                 "  {:<16} {:>10} answers in {:>8.2?}",
                 engine.name(),

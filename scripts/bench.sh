@@ -17,13 +17,12 @@
 #     rows pin the memory-bounded streaming claim;
 #   * the `eval_matrix` binary (Section 7 in miniature): the full
 #     (engine x query) evaluation matrix on Bib through the shared
-#     EvalContext harness, one process per (planner regime x thread
-#     count) — planner on vs --no-plan, 1 thread vs auto — into
+#     EvalContext harness, one process per thread count (1 vs auto) into
 #     BENCH_eval.json, plus one --no-eval-cache contrast row. Each row
-#     records cells/s, the timeout/too-large counts, its `"plan"` and
-#     `"cache"` regimes, the cache hit/miss counters, and the run's peak
-#     RSS (VmHWM); the on/off pairs pin the statistics planner's and the
-#     sub-expression cache's effects across PRs.
+#     records cells/s, the timeout/too-large counts, its `"cache"`
+#     regime, the cache hit/miss counters, and the run's peak RSS
+#     (VmHWM); the on/off pair pins the sub-expression cache's effect
+#     across PRs.
 #   * the `store_sweep` binary (on-disk paged store): builds a 500K-node
 #     `graph.gstore` through the streamed spool tee (build MB/s), then
 #     evaluates the same workload paged (cold + warm pass) and in-RAM —
@@ -110,18 +109,14 @@ for n in 50000 500000; do
 done
 
 echo "== eval matrix (Section 7 in miniature, exporting to $eval_out) =="
-# One process per (planner regime x thread count): peak_rss_kb rows are
-# per-run VmHWM peaks. 1 thread vs auto-detect pins the parallel evaluation
-# pipeline's trajectory; planner on vs --no-plan pins the statistics
-# planner's effect on the timeout/too-large counts.
-for plan_flag in "" "--no-plan"; do
-    for t in 1 0; do
-        # shellcheck disable=SC2086
-        GMARK_BENCH_JSON="$eval_out" cargo run --offline --release -p gmark-bench \
-            --bin eval_matrix -- --threads "$t" $plan_flag
-    done
+# One process per thread count: peak_rss_kb rows are per-run VmHWM peaks.
+# 1 thread vs auto-detect pins the parallel evaluation pipeline's
+# trajectory.
+for t in 1 0; do
+    GMARK_BENCH_JSON="$eval_out" cargo run --offline --release -p gmark-bench \
+        --bin eval_matrix -- --threads "$t"
 done
-# Cached-regime pair: the same single-threaded planned run with the
+# Cached-regime pair: the same single-threaded run with the
 # sub-expression result cache disabled. Against the cache-on row above
 # (whose cache_hits/cache_misses fields record the hit rate), this pair
 # pins the cache's cells/s effect across PRs.

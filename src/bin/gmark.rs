@@ -73,8 +73,6 @@ struct Args {
     budget_ms: Option<u64>,
     /// Per-cell tuple cap.
     max_tuples: Option<usize>,
-    /// Disable the schema-statistics query planner for `--eval`.
-    no_plan: bool,
     /// Disable the cross-cell sub-expression result cache for `--eval`.
     no_eval_cache: bool,
     /// Byte budget for the sub-expression cache, in MiB.
@@ -100,7 +98,7 @@ enum Parsed {
 
 const USAGE: &str = "gmark --config <file.xml> --output <dir> [--seed N] [--nodes N] \
 [--threads T] [--stream] [--store] [--queries-only] [--format text|json] \
-[--eval] [--engines P,G,S,D] [--budget-ms N] [--max-tuples N] [--no-plan] \
+[--eval] [--engines P,G,S,D] [--budget-ms N] [--max-tuples N] \
 [--no-eval-cache] [--eval-cache-mb N] [--from-store FILE]\n\
 gmark --verify-store <file.gstore>\n\
 gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
@@ -151,10 +149,6 @@ gmark serve [--addr HOST:PORT] [--workers N] [--cache-mb MiB] \
                   outcomes machine-independent.\n\
   --max-tuples N  per-cell tuple cap for --eval (default 20000000);\n\
                   exceeding it reports the cell as too-large.\n\
-  --no-plan       disable the schema-statistics query planner for --eval:\n\
-                  engines fall back to declaration-order / per-engine\n\
-                  heuristic joins and eval.txt drops the est~actual\n\
-                  annotations. Answers never depend on this flag.\n\
   --no-eval-cache disable the cross-cell sub-expression result cache for\n\
                   --eval: every cell recomputes its sub-expressions from\n\
                   scratch. Cell outcomes and answer cardinalities never\n\
@@ -205,7 +199,6 @@ fn parse_args(argv: &[String]) -> Result<Parsed, String> {
     let mut engines = None;
     let mut budget_ms = None;
     let mut max_tuples = None;
-    let mut no_plan = false;
     let mut no_eval_cache = false;
     let mut eval_cache_mb = None;
     let mut format = Format::Text;
@@ -281,7 +274,6 @@ fn parse_args(argv: &[String]) -> Result<Parsed, String> {
                 }
                 max_tuples = Some(cap)
             }
-            "--no-plan" => no_plan = true,
             "--no-eval-cache" => no_eval_cache = true,
             "--eval-cache-mb" => {
                 let v = take_value(&mut i, &flag)?;
@@ -323,12 +315,11 @@ fn parse_args(argv: &[String]) -> Result<Parsed, String> {
         && (engines.is_some()
             || budget_ms.is_some()
             || max_tuples.is_some()
-            || no_plan
             || no_eval_cache
             || eval_cache_mb.is_some())
     {
         return Err(
-            "--engines/--budget-ms/--max-tuples/--no-plan/--no-eval-cache/--eval-cache-mb \
+            "--engines/--budget-ms/--max-tuples/--no-eval-cache/--eval-cache-mb \
              require --eval"
                 .to_owned(),
         );
@@ -374,7 +365,6 @@ fn parse_args(argv: &[String]) -> Result<Parsed, String> {
         engines,
         budget_ms,
         max_tuples,
-        no_plan,
         no_eval_cache,
         eval_cache_mb,
         format,
@@ -511,7 +501,6 @@ fn execute(args: &Args) -> Result<(), GmarkError> {
         if let Some(cap) = args.max_tuples {
             spec.max_tuples = cap;
         }
-        spec.plan = !args.no_plan;
         spec.cache = !args.no_eval_cache;
         if let Some(mb) = args.eval_cache_mb {
             spec.cache_mb = mb;
@@ -664,7 +653,6 @@ mod tests {
             "500",
             "--max-tuples",
             "1000",
-            "--no-plan",
         ]))
         .expect("parses");
         match parsed {
@@ -676,7 +664,6 @@ mod tests {
                 );
                 assert_eq!(args.budget_ms, Some(500));
                 assert_eq!(args.max_tuples, Some(1000));
-                assert!(args.no_plan);
             }
             other => panic!("expected a run, got {other:?}"),
         }
@@ -691,7 +678,16 @@ mod tests {
             "P"
         ]))
         .is_err());
-        assert!(parse_args(&argv(&["--config", "c.xml", "--output", "o", "--no-plan"])).is_err());
+        // The planner is the only join order: there is no flag to turn it off.
+        assert!(parse_args(&argv(&[
+            "--config",
+            "c.xml",
+            "--output",
+            "o",
+            "--eval",
+            "--no-plan"
+        ]))
+        .is_err());
         // Conflicting modes are rejected at parse time.
         assert!(parse_args(&argv(&[
             "--config",

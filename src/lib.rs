@@ -34,11 +34,15 @@
 //! assert_eq!(summary.workload.as_ref().unwrap().produced, 9);
 //! assert!(!sink.bytes(Artifact::Sparql).unwrap().is_empty());
 //!
-//! // Embedding? Materialize instead of serializing, then evaluate.
+//! // Embedding? Materialize instead of serializing, then plan the query
+//! // once and evaluate it on one shared context.
 //! let arts = gmark::run::run_in_memory(&plan, &RunOptions::with_seed(42))?;
 //! let (graph, workload) = (arts.graph.unwrap(), arts.workload.unwrap());
+//! let query = &workload.queries[0].query;
+//! let ctx = EvalContext::new(&graph);
+//! let query_plan = plan_query(&ctx, Some(&plan.graph.schema), query);
 //! let answers = RelationalEngine
-//!     .evaluate(&graph, &workload.queries[0].query, &Budget::default())
+//!     .evaluate(&ctx, query, &query_plan, &Budget::default())
 //!     .unwrap();
 //! let _count = answers.count();
 //! # Ok::<(), gmark::run::GmarkError>(())
@@ -126,10 +130,9 @@ pub mod prelude {
         WorkloadConfig, WorkloadError,
     };
     pub use gmark_engines::{
-        all_engines, evaluate_matrix, evaluate_matrix_with_schema, plan_query, Answers, Budget,
-        CellBudget, CellOutcome, DatalogEngine, Engine, EngineKind, EvalContext, EvalError,
-        EvalReport, MatrixOptions, NavigationalEngine, PlanQuality, QueryPlan, RelationalEngine,
-        TripleStoreEngine,
+        evaluate_matrix, plan_query, Answers, Budget, CellBudget, CellOutcome, DatalogEngine,
+        Engine, EngineKind, EvalContext, EvalError, EvalReport, MatrixOptions, NavigationalEngine,
+        PlanQuality, QueryPlan, RelationalEngine, TripleStoreEngine,
     };
     pub use gmark_store::{EdgeSink, Graph, GraphBuilder, NodeId, TypePartition};
 }

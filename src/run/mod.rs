@@ -83,9 +83,7 @@ pub use summary::{
 
 use gmark_core::gen::{generate_graph, generate_streamed, generate_streamed_spooled};
 use gmark_core::workload::{generate_workload_with_threads, Workload, WorkloadConfig};
-use gmark_engines::{
-    evaluate_matrix_with_schema, CellOutcome, EvalContext, EvalReport, MatrixOptions,
-};
+use gmark_engines::{evaluate_matrix, CellOutcome, EvalContext, EvalReport, MatrixOptions};
 use gmark_store::{
     build_store_from_spool, EdgeSink as _, EdgeSpool, Graph, GraphView, NTriplesWriter, StoreError,
     StoreMeta, StoreReader, StoreWriter, TypePartition, DEFAULT_PAGE_SIZE,
@@ -540,7 +538,7 @@ fn evaluate_stage(
     let ctx = EvalContext::new(view);
     let queries: Vec<&gmark_core::query::Query> =
         workload.queries.iter().map(|gq| &gq.query).collect();
-    evaluate_matrix_with_schema(
+    evaluate_matrix(
         &ctx,
         Some(schema),
         &queries,
@@ -549,7 +547,6 @@ fn evaluate_stage(
         &MatrixOptions {
             threads,
             warm_runs: 0,
-            plan: spec.plan,
             cache_mb: if spec.cache { spec.cache_mb } else { 0 },
         },
     )
@@ -595,11 +592,7 @@ fn render_eval_report(
         },
         spec.max_tuples
     );
-    let _ = writeln!(
-        rendered,
-        "planner: {}",
-        if spec.plan { "on" } else { "off" }
-    );
+    let _ = writeln!(rendered, "planner: on");
     match &report.cache {
         Some(stats) => {
             let _ = writeln!(
@@ -654,7 +647,6 @@ fn eval_run_summary(spec: &EvalSpec, report: &EvalReport, seconds: f64) -> EvalR
         engines: spec.letters(),
         budget_ms: spec.budget_ms,
         max_tuples: spec.max_tuples,
-        plan: spec.plan,
         cache: report.cache,
         queries: report.queries,
         cells: report.cells.len(),

@@ -71,10 +71,10 @@ pub struct EvalSpec {
     pub budget_ms: u64,
     /// Maximum tuples any intermediate or final result may hold per cell.
     pub max_tuples: usize,
-    /// Whether the schema-statistics planner orders every engine's joins
-    /// (the default). The CLI's `--no-plan` clears it; answers never
-    /// depend on this flag, only evaluation cost and the est~actual
-    /// annotations in the report.
+    /// Must stay `true` (the default): the schema-statistics planner is the
+    /// only join order the engines have, and [`RunPlan::validate`] rejects
+    /// `false`. The field remains so that code building an `EvalSpec` by
+    /// struct literal keeps compiling; it will be removed.
     pub plan: bool,
     /// Whether the cross-cell sub-expression result cache is filled
     /// during warm-up and consumed by the engines (the default). The
@@ -256,6 +256,13 @@ impl RunPlan {
             if spec.engines.is_empty() {
                 return Err(GmarkError::Plan(
                     "evaluation requested with an empty engine selection".to_owned(),
+                ));
+            }
+            if !spec.plan {
+                return Err(GmarkError::Plan(
+                    "evaluation without the planner is no longer supported: the \
+                     schema-statistics planner is the only join order (set plan = true)"
+                        .to_owned(),
                 ));
             }
             if spec.max_tuples == 0 {
@@ -490,6 +497,17 @@ mod tests {
             .workload(gmark_core::workload::WorkloadConfig::new(2))
             .eval(EvalSpec {
                 engines: Vec::new(),
+                ..EvalSpec::default()
+            })
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, GmarkError::Plan(_)), "{err}");
+
+        // Planner off: rejected (the planner is the only join order).
+        let err = RunPlan::builder(usecases::bib())
+            .workload(gmark_core::workload::WorkloadConfig::new(2))
+            .eval(EvalSpec {
+                plan: false,
                 ..EvalSpec::default()
             })
             .build()

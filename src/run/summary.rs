@@ -116,8 +116,6 @@ pub struct EvalRunSummary {
     pub budget_ms: u64,
     /// Per-cell tuple cap.
     pub max_tuples: usize,
-    /// Whether the schema-statistics planner ordered the engines' joins.
-    pub plan: bool,
     /// Sub-expression cache contents and hit accounting; `None` when the
     /// cache was disabled. Deterministic: fill contents are a pure
     /// function of graph and query set, and hit/miss totals are sums of
@@ -155,9 +153,8 @@ pub struct EvalCellRow {
     pub outcome: String,
     /// Distinct answer tuples for completed cells, `None` otherwise.
     pub count: Option<u64>,
-    /// The planner's estimated answer cardinality for the cell's query;
-    /// `None` when the run had the planner off.
-    pub estimate: Option<u64>,
+    /// The planner's estimated answer cardinality for the cell's query.
+    pub estimate: u64,
 }
 
 impl RunSummary {
@@ -465,8 +462,10 @@ impl EvalRunSummary {
         push_key(out, "max_tuples");
         let _ = write!(out, "{}", self.max_tuples);
         out.push(',');
+        // The planner always orders the engines' joins; the key stays for
+        // readers of the historical layout.
         push_key(out, "plan");
-        out.push_str(if self.plan { "true" } else { "false" });
+        out.push_str("true");
         out.push(',');
         push_key(out, "cache");
         match &self.cache {
@@ -513,14 +512,7 @@ impl EvalRunSummary {
                 }
                 None => out.push_str("null"),
             }
-            out.push_str(",\"estimate\":");
-            match row.estimate {
-                Some(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                None => out.push_str("null"),
-            }
-            out.push('}');
+            let _ = write!(out, ",\"estimate\":{}}}", row.estimate);
         }
         out.push(']');
         out.push('}');
@@ -654,7 +646,6 @@ mod tests {
                 engines: "PGSD".to_owned(),
                 budget_ms: 10_000,
                 max_tuples: 1_000_000,
-                plan: true,
                 cache: Some(gmark_engines::EvalCacheStats {
                     budget_mb: 64,
                     entries: 5,
@@ -678,14 +669,14 @@ mod tests {
                         engine: 'P',
                         outcome: "ok".to_owned(),
                         count: Some(12),
-                        estimate: Some(10),
+                        estimate: 10,
                     },
                     EvalCellRow {
                         query: 0,
                         engine: 'G',
                         outcome: "timeout".to_owned(),
                         count: None,
-                        estimate: Some(10),
+                        estimate: 10,
                     },
                 ],
                 seconds: 0.5,

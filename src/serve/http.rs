@@ -11,12 +11,12 @@
 //! HTTP/1.0 clients); the per-connection request loop lives in the
 //! routes layer, which decides per response whether the connection
 //! stays open and tells [`write_response`]/[`write_chunked`] what
-//! `Connection:` header to emit. Two clients live at the bottom:
-//! one-shot [`fetch`] (`Connection: close`, reads to EOF — tolerant of
-//! early error responses) and the reusable [`Client`], which frames
-//! responses exactly so the same TCP connection can carry many requests;
-//! the integration tests and bench drivers use both, curl fills the
-//! same role in CI.
+//! `Connection:` header to emit. The client half lives at the bottom:
+//! the reusable [`Client`], which frames responses exactly so the same
+//! TCP connection can carry many requests (and tolerates early error
+//! responses), and one-shot [`fetch`], a `Client` that sends
+//! `Connection: close`; the integration tests and bench drivers use
+//! both, curl fills the same role in CI.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -389,48 +389,16 @@ impl ClientResponse {
 }
 
 /// A minimal blocking HTTP/1.1 client for one request: what the
-/// integration tests and the `serve_sweep` bench driver speak to the
-/// server (curl fills the same role in CI). De-chunks chunked responses;
-/// otherwise reads to `Content-Length` (or connection close).
+/// integration tests and the bench drivers use for one-shot requests (curl
+/// fills the same role in CI). A [`Client`] on a fresh connection that
+/// sends `Connection: close`.
 pub fn fetch(
     addr: impl ToSocketAddrs,
     method: &str,
     path_and_query: &str,
     body: &[u8],
 ) -> io::Result<ClientResponse> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(120)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(120)))?;
-    let _ = stream.set_nodelay(true);
-    let head = format!(
-        "{method} {path_and_query} HTTP/1.1\r\nHost: gmark\r\nContent-Length: {}\r\n\
-         Connection: close\r\n\r\n",
-        body.len()
-    );
-    // A server may answer before reading the whole request (a 429 from
-    // admission control does exactly that) — a write failure is only
-    // fatal if no response can be read afterwards.
-    let wrote = stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
-        .and_then(|()| stream.flush());
-
-    let mut raw = Vec::new();
-    let mut buf = [0u8; 16 * 1024];
-    let read_outcome = loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break Ok(()),
-            Ok(n) => raw.extend_from_slice(&buf[..n]),
-            // A reset after the response bytes arrived still counts —
-            // keep what we have if it parses.
-            Err(e) => break Err(e),
-        }
-    };
-    if raw.is_empty() {
-        wrote?;
-        read_outcome?;
-    }
-    parse_client_response(&raw)
+    Client::connect(addr)?.send(method, path_and_query, body, true)
 }
 
 /// Parses a response head (status line + headers, without the blank
@@ -454,37 +422,13 @@ fn parse_response_head(head: &[u8]) -> io::Result<(u16, Vec<(String, String)>)> 
     Ok((status, headers))
 }
 
-fn parse_client_response(raw: &[u8]) -> io::Result<ClientResponse> {
-    let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("response: {what}"));
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| bad("no head terminator"))?;
-    let (status, headers) = parse_response_head(&raw[..head_end])?;
-    let payload = &raw[head_end + 4..];
-    let chunked = headers
-        .iter()
-        .any(|(k, v)| k == "transfer-encoding" && v.eq_ignore_ascii_case("chunked"));
-    let body = if chunked {
-        dechunk(payload).ok_or_else(|| bad("bad chunked framing"))?
-    } else {
-        payload.to_vec()
-    };
-    Ok(ClientResponse {
-        status,
-        headers,
-        body,
-    })
-}
-
 /// A reusable HTTP/1.1 client: one TCP connection, many requests.
 ///
-/// Where [`fetch`] sends `Connection: close` and reads to EOF, this
-/// client leaves the connection open and frames each response exactly
-/// (by `Content-Length`, or chunk by chunk) so the next request can ride
-/// the same socket — the client half of the server's keep-alive fast
-/// path. The integration tests' keep-alive pins and the `drive` /
-/// `serve_sweep` bench drivers use it. After a response announcing
+/// The client frames each response exactly (by `Content-Length`, or chunk
+/// by chunk) so the next request can ride the same socket — the client
+/// half of the server's keep-alive fast path. The integration tests'
+/// keep-alive pins and the `drive` / `serve_sweep` bench drivers use it;
+/// [`fetch`] is the one-request form. After a response announcing
 /// `Connection: close` ([`ClientResponse::close_after`]) the holder must
 /// reconnect.
 pub struct Client {
@@ -494,7 +438,7 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects, with the same generous timeouts as [`fetch`].
+    /// Connects with generous (120 s) read and write timeouts.
     /// `TCP_NODELAY` is set: a request/response protocol writing small
     /// frames on a reused connection would otherwise trip over Nagle +
     /// delayed-ACK stalls (~40 ms per request).
@@ -518,14 +462,36 @@ impl Client {
         path_and_query: &str,
         body: &[u8],
     ) -> io::Result<ClientResponse> {
-        let head = format!(
-            "{method} {path_and_query} HTTP/1.1\r\nHost: gmark\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body)?;
-        self.stream.flush()?;
+        self.send(method, path_and_query, body, false)
+    }
 
+    /// [`Client::request`], optionally announcing `Connection: close`.
+    /// A server may answer before reading the whole request (a 429 from
+    /// admission control does exactly that), so a write failure is only
+    /// fatal if no response can be read afterwards.
+    fn send(
+        &mut self,
+        method: &str,
+        path_and_query: &str,
+        body: &[u8],
+        close: bool,
+    ) -> io::Result<ClientResponse> {
+        let head = format!(
+            "{method} {path_and_query} HTTP/1.1\r\nHost: gmark\r\nContent-Length: {}\r\n{}\r\n",
+            body.len(),
+            if close { "Connection: close\r\n" } else { "" }
+        );
+        let wrote = self
+            .stream
+            .write_all(head.as_bytes())
+            .and_then(|()| self.stream.write_all(body))
+            .and_then(|()| self.stream.flush());
+        self.read_response()
+            .map_err(|read_err| wrote.err().unwrap_or(read_err))
+    }
+
+    /// Reads exactly one framed response.
+    fn read_response(&mut self) -> io::Result<ClientResponse> {
         // Head: buffer until the blank line.
         let head_end = loop {
             if let Some(p) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
@@ -611,24 +577,6 @@ impl Client {
     }
 }
 
-fn dechunk(mut payload: &[u8]) -> Option<Vec<u8>> {
-    let mut out = Vec::new();
-    loop {
-        let line_end = payload.windows(2).position(|w| w == b"\r\n")?;
-        let size_text = std::str::from_utf8(&payload[..line_end]).ok()?;
-        let size = usize::from_str_radix(size_text.trim(), 16).ok()?;
-        payload = &payload[line_end + 2..];
-        if size == 0 {
-            return Some(out);
-        }
-        if payload.len() < size + 2 {
-            return None;
-        }
-        out.extend_from_slice(&payload[..size]);
-        payload = &payload[size + 2..];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -641,25 +589,70 @@ mod tests {
         assert_eq!(percent_decode("%3Cxml%3E"), "<xml>");
     }
 
+    /// A one-connection loopback server: reads one request per reply,
+    /// answers it with the raw bytes, then closes. Returns the address and
+    /// the `Connection` header of each request it read.
+    fn serve_raw(
+        replies: Vec<&'static [u8]>,
+    ) -> (
+        std::net::SocketAddr,
+        std::thread::JoinHandle<Vec<Option<String>>>,
+    ) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut seen = Vec::new();
+            for reply in replies {
+                let request = read_request(&mut stream).unwrap();
+                seen.push(request.header("connection").map(str::to_owned));
+                stream.write_all(reply).unwrap();
+            }
+            seen
+        });
+        (addr, server)
+    }
+
     #[test]
     fn dechunking_reassembles_the_payload() {
-        let framed = b"3\r\nabc\r\n4\r\ndefg\r\n0\r\n\r\n";
-        assert_eq!(dechunk(framed).unwrap(), b"abcdefg");
-        assert_eq!(dechunk(b"0\r\n\r\n").unwrap(), b"");
-        assert!(dechunk(b"5\r\nab\r\n").is_none(), "truncated chunk");
+        let (addr, server) = serve_raw(vec![
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\n4\r\ndefg\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab\r\n",
+        ]);
+        let mut client = Client::connect(addr).unwrap();
+        assert_eq!(client.request("GET", "/", b"").unwrap().body, b"abcdefg");
+        assert_eq!(client.request("GET", "/", b"").unwrap().body, b"");
+        assert!(
+            client.request("GET", "/", b"").is_err(),
+            "truncated chunk, then EOF"
+        );
+        server.join().unwrap();
     }
 
     #[test]
     fn client_response_parser_reads_status_headers_and_body() {
-        let raw =
-            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\r\nhi".to_vec();
-        let resp = parse_client_response(&raw).unwrap();
+        let (addr, server) = serve_raw(vec![
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 2\r\n\r\nhi",
+            b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n",
+        ]);
+        let mut client = Client::connect(addr).unwrap();
+        let resp = client.request("GET", "/a", b"").unwrap();
         assert_eq!(resp.status, 200);
-        assert_eq!(resp.header("content-type"), Some("text/plain"));
+        assert_eq!(resp.header("Content-Type"), Some("text/plain"));
         assert_eq!(resp.body, b"hi");
+        let resp = client.request("POST", "/b", b"body").unwrap();
+        assert_eq!((resp.status, resp.body.len()), (404, 0));
+        assert_eq!(server.join().unwrap(), vec![None, None]);
 
-        let chunked =
-            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nhi\r\n0\r\n\r\n".to_vec();
-        assert_eq!(parse_client_response(&chunked).unwrap().body, b"hi");
+        // `fetch` is the same client on a fresh connection that asks the
+        // server to close.
+        let (addr, server) = serve_raw(vec![
+            b"HTTP/1.1 429 Too Many Requests\r\nContent-Length: 4\r\nConnection: close\r\n\r\nbusy",
+        ]);
+        let resp = fetch(addr, "GET", "/", b"").unwrap();
+        assert_eq!((resp.status, resp.body.as_slice()), (429, &b"busy"[..]));
+        assert!(resp.close_after());
+        assert_eq!(server.join().unwrap(), vec![Some("close".to_owned())]);
     }
 }

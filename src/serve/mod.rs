@@ -385,6 +385,8 @@ mod tests {
                 400,
             ),
             ("POST", "/v1/run?budget_ms=5", BIB_XML.as_bytes(), 400),
+            // The planner is the only join order: `no_plan` is unknown.
+            ("POST", "/v1/run?eval=1&no_plan=1", BIB_XML.as_bytes(), 400),
             ("POST", "/v1/run?artifact=nope.bin", BIB_XML.as_bytes(), 400),
             ("GET", "/v1/run/unknown/summary", b"", 404),
             ("GET", "/nope", b"", 404),

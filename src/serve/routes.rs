@@ -324,7 +324,6 @@ fn parse_run_request(request: &Request) -> Result<ParsedRun, Reject> {
         "engines",
         "budget_ms",
         "max_tuples",
-        "no_plan",
         "no_eval_cache",
         "eval_cache_mb",
         "artifact",
@@ -365,7 +364,6 @@ fn parse_run_request(request: &Request) -> Result<ParsedRun, Reject> {
     let store = flag(request, "store")?;
     let queries_only = flag(request, "queries_only")?;
     let eval = flag(request, "eval")?;
-    let no_plan = flag(request, "no_plan")?;
     let no_eval_cache = flag(request, "no_eval_cache")?;
     let engines = match request.query_param("engines") {
         Some(list) => Some(EngineKind::parse_list(list).map_err(bad)?),
@@ -380,12 +378,11 @@ fn parse_run_request(request: &Request) -> Result<ParsedRun, Reject> {
     let eval_only = engines.is_some()
         || budget_ms.is_some()
         || max_tuples.is_some()
-        || no_plan
         || no_eval_cache
         || eval_cache_mb.is_some();
     if eval_only && !eval {
         return Err(bad(
-            "engines/budget_ms/max_tuples/no_plan/no_eval_cache/eval_cache_mb require eval",
+            "engines/budget_ms/max_tuples/no_eval_cache/eval_cache_mb require eval",
         ));
     }
     if no_eval_cache && eval_cache_mb.is_some() {
@@ -431,7 +428,6 @@ fn parse_run_request(request: &Request) -> Result<ParsedRun, Reject> {
         if let Some(cap) = max_tuples {
             spec.max_tuples = cap;
         }
-        spec.plan = !no_plan;
         spec.cache = !no_eval_cache;
         if let Some(mb) = eval_cache_mb {
             spec.cache_mb = mb;
@@ -460,11 +456,10 @@ fn parse_run_request(request: &Request) -> Result<ParsedRun, Reject> {
         .as_ref()
         .map(|s| {
             format!(
-                "{}:{}:{}:{}:{}:{}",
+                "{}:{}:{}:{}:{}",
                 s.letters(),
                 s.budget_ms,
                 s.max_tuples,
-                s.plan,
                 s.cache,
                 s.cache_mb
             )

@@ -171,11 +171,21 @@ fn evaluation_is_deterministic() {
     let (workload, _) = generate_workload(&schema, &WorkloadConfig::new(6).with_seed(6))
         .expect("workload generates");
     for gq in &workload.queries {
-        let a = DatalogEngine
-            .evaluate(&graph, &gq.query, &Budget::default())
+        let a = EngineKind::Datalog
+            .evaluate_with(
+                &EvalContext::new(&graph),
+                &gq.query,
+                None,
+                &Budget::default(),
+            )
             .unwrap();
-        let b = DatalogEngine
-            .evaluate(&graph, &gq.query, &Budget::default())
+        let b = EngineKind::Datalog
+            .evaluate_with(
+                &EvalContext::new(&graph),
+                &gq.query,
+                None,
+                &Budget::default(),
+            )
             .unwrap();
         assert_eq!(a, b);
     }

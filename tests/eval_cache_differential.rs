@@ -4,15 +4,16 @@
 //! cells evaluate, never *what* they report: for every engine and every
 //! query — recursive shapes included — the (outcome label, answer
 //! cardinality) of each cell must be identical with the cache enabled and
-//! disabled, even when tuple caps make cells fail. These tests run the
-//! whole evaluation matrix both ways and compare cell by cell.
+//! disabled, even when tuple caps make cells fail. These tests evaluate
+//! every (query × engine) cell both ways and compare cell by cell.
 //!
-//! Planning is disabled in the property tests: the planner legitimately
-//! *reads* the cache (exact cardinalities replace estimates, which can
-//! reorder joins), so `plan: false` isolates the cache's contract that
-//! outcomes themselves never shift. The generated-workload test then
-//! covers the planned regime, where answers still may not move.
+//! Each query is planned once, up front, on a cache-less context, and that
+//! one plan drives both sides: the planner legitimately *reads* the cache
+//! (exact cardinalities replace estimates, which can reorder joins), so a
+//! plan per side would compare two join orders instead of isolating the
+//! cache's contract that outcomes themselves never shift.
 
+use gmark::engines::EvalCacheStats;
 use gmark::prelude::*;
 use proptest::prelude::*;
 
@@ -76,63 +77,88 @@ fn arb_chain(preds: usize) -> impl Strategy<Value = Query> {
     })
 }
 
-/// Runs the full matrix over `queries` twice — cache on, cache off — on
-/// *fresh* contexts (the cache freezes into its context on first fill) and
-/// returns the two reports.
-fn matrix_pair(
+/// One evaluated cell: (query index, engine, outcome).
+type Cell = (usize, EngineKind, CellOutcome);
+
+/// Evaluates every (query × engine) cell on `ctx`, each under a fresh
+/// budget and the query's shared plan.
+fn cells(
+    ctx: &EvalContext<'_>,
+    queries: &[&Query],
+    plans: &[QueryPlan],
+    budget: &CellBudget,
+) -> Vec<Cell> {
+    let mut out = Vec::new();
+    for (qi, (query, plan)) in queries.iter().zip(plans).enumerate() {
+        for kind in EngineKind::ALL {
+            let outcome = match kind.evaluate_with(ctx, query, Some(plan), &budget.start()) {
+                Ok(answers) => CellOutcome::Answers {
+                    arity: answers.arity,
+                    count: answers.count(),
+                },
+                Err(e) => CellOutcome::Failed(e),
+            };
+            out.push((qi, kind, outcome));
+        }
+    }
+    out
+}
+
+/// Evaluates all cells twice — cache on, cache off — on *fresh* contexts
+/// (the cache freezes into its context on first fill), under one plan per
+/// query computed before either cache exists. The cached context is
+/// filled the way the matrix harness fills it: every conjunct expression,
+/// then the navigational engine's degraded forms.
+fn cell_pair(
     graph: &Graph,
     schema: Option<&Schema>,
     queries: &[&Query],
     max_tuples: usize,
-    plan: bool,
-) -> (EvalReport, EvalReport) {
+) -> (Vec<Cell>, Vec<Cell>, Option<EvalCacheStats>) {
     let budget = CellBudget {
         timeout: None, // no wall clock: outcomes are pure in (graph, queries)
         max_tuples,
     };
-    let cached_ctx = EvalContext::new(graph);
     let plain_ctx = EvalContext::new(graph);
-    let cached = evaluate_matrix_with_schema(
-        &cached_ctx,
-        schema,
-        queries,
-        &EngineKind::ALL,
-        &budget,
-        &MatrixOptions {
-            plan,
-            ..MatrixOptions::default()
-        },
+    let plans: Vec<QueryPlan> = queries
+        .iter()
+        .map(|q| plan_query(&plain_ctx, schema, q))
+        .collect();
+    let cached_ctx = EvalContext::new(graph);
+    let mut exprs: Vec<RegularExpr> = Vec::new();
+    for query in queries {
+        let (degraded, _) = gmark::engines::navigational::degrade_for_cypher(query);
+        for q in [*query, &degraded] {
+            exprs.extend(
+                q.rules
+                    .iter()
+                    .flat_map(|r| r.body.iter().map(|c| c.expr.clone())),
+            );
+        }
+    }
+    cached_ctx.fill_expr_cache(&exprs, MatrixOptions::DEFAULT_CACHE_MB, || budget.start());
+    let cached = cells(&cached_ctx, queries, &plans, &budget);
+    let plain = cells(&plain_ctx, queries, &plans, &budget);
+    assert!(
+        plain_ctx.expr_cache_stats().is_none(),
+        "plain side never fills"
     );
-    let plain = evaluate_matrix_with_schema(
-        &plain_ctx,
-        schema,
-        queries,
-        &EngineKind::ALL,
-        &budget,
-        &MatrixOptions {
-            plan,
-            cache_mb: 0,
-            ..MatrixOptions::default()
-        },
-    );
-    (cached, plain)
+    (cached, plain, cached_ctx.expr_cache_stats())
 }
 
 /// Asserts cell-for-cell equality of outcome labels (the count for ok
 /// cells, the typed failure word otherwise).
-fn assert_cells_match(cached: &EvalReport, plain: &EvalReport) -> Result<(), TestCaseError> {
-    prop_assert_eq!(cached.cells.len(), plain.cells.len());
-    for (c, p) in cached.cells.iter().zip(&plain.cells) {
-        prop_assert_eq!(c.query, p.query);
-        prop_assert_eq!(c.engine, p.engine);
+fn assert_cells_match(cached: &[Cell], plain: &[Cell]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(cached.len(), plain.len());
+    for ((q, kind, c), (_, _, p)) in cached.iter().zip(plain) {
         prop_assert_eq!(
-            c.outcome.label(),
-            p.outcome.label(),
+            c.label(),
+            p.label(),
             "query {} on {}: cached {:?} vs uncached {:?}",
-            c.query,
-            c.engine.name(),
-            c.outcome,
-            p.outcome
+            q,
+            kind.name(),
+            c,
+            p
         );
     }
     Ok(())
@@ -152,10 +178,9 @@ proptest! {
     ) {
         let graph = random_graph(30, 2, 45, seed);
         let queries = [&q1, &q2];
-        let (cached, plain) = matrix_pair(&graph, None, &queries, 1_000_000, false);
+        let (cached, plain, stats) = cell_pair(&graph, None, &queries, 1_000_000);
         assert_cells_match(&cached, &plain)?;
-        let stats = cached.cache.as_ref().expect("cache was enabled");
-        prop_assert!(plain.cache.is_none(), "cache_mb: 0 must disable the cache");
+        let stats = stats.expect("cache was filled");
         // Two queries over four engines must actually exercise the cache.
         prop_assert!(stats.hits + stats.misses > 0);
     }
@@ -172,7 +197,7 @@ proptest! {
     ) {
         let graph = random_graph(30, 2, 45, seed);
         let queries = [&q1, &q2];
-        let (cached, plain) = matrix_pair(&graph, None, &queries, cap, false);
+        let (cached, plain, _) = cell_pair(&graph, None, &queries, cap);
         assert_cells_match(&cached, &plain)?;
     }
 }
@@ -181,8 +206,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     // The generator's own recursive workloads on the bib schema, planned
-    // regime: the planner may consult cached cardinalities and reorder
-    // joins, but no ok-cell count may change and no outcome may flip.
+    // with the schema's selectivity classes: no ok-cell count may change
+    // and no outcome may flip.
     #[test]
     fn generated_workloads_are_cache_invariant(seed in 0u64..400) {
         let schema = gmark::core::usecases::bib();
@@ -192,7 +217,7 @@ proptest! {
         wcfg.recursion_probability = 0.5;
         let (workload, _) = generate_workload(&schema, &wcfg).expect("workload generates");
         let queries: Vec<&Query> = workload.queries.iter().map(|gq| &gq.query).collect();
-        let (cached, plain) = matrix_pair(&graph, Some(&schema), &queries, 100_000, true);
+        let (cached, plain, _) = cell_pair(&graph, Some(&schema), &queries, 100_000);
         assert_cells_match(&cached, &plain)?;
     }
 }

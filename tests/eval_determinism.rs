@@ -95,115 +95,36 @@ fn library_eval_report_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
-fn planner_off_eval_report_is_byte_identical_across_thread_counts() {
-    let mut plan = eval_plan();
-    plan.eval.as_mut().expect("eval spec set").plan = false;
-    let run_at = |threads: usize| {
-        let mut sink = MemorySink::new();
-        run(
-            &plan,
-            &RunOptions::with_seed(11).threads(threads),
-            &mut sink,
-        )
-        .expect("pipeline runs");
-        (
-            sink.bytes(Artifact::EvalReport).expect("eval.txt written"),
-            eval_json_section(&sink.bytes(Artifact::Summary).expect("summary rendered")),
-        )
-    };
-    let (base_report, base_json) = run_at(1);
-    let base_text = String::from_utf8(base_report.clone()).unwrap();
-    assert!(base_text.contains("planner: off"), "{base_text}");
-    assert!(!base_text.contains('~'), "{base_text}");
-    assert!(base_json.contains("\"plan\":false"), "{base_json}");
-    for threads in [2usize, 8] {
-        let (report, json) = run_at(threads);
-        assert_eq!(report, base_report, "eval.txt differs at {threads} threads");
-        assert_eq!(json, base_json, "summary eval differs at {threads} threads");
-    }
-}
-
-#[test]
 fn cache_off_changes_only_the_cache_header_and_stats() {
-    // With planning off (so the planner cannot consult cached exact
-    // cardinalities and reorder joins), disabling the cache may change
-    // nothing in the artifacts except the lines that *describe* the cache:
-    // the `cache:` header of eval.txt and the `"cache"` object of the
-    // summary. Every cell line must be byte-identical.
-    let mut plan_on = eval_plan();
-    plan_on.eval.as_mut().expect("eval spec set").plan = false;
+    // Disabling the cache may change the lines that *describe* the cache
+    // (the `cache:` header of eval.txt and the `"cache"` object of the
+    // summary) and the planner's estimates, which read exact cached
+    // cardinalities where the cache has them. No cell's outcome or answer
+    // count may move.
+    let plan_on = eval_plan();
     let mut plan_off = eval_plan();
-    {
-        let spec = plan_off.eval.as_mut().expect("eval spec set");
-        spec.plan = false;
-        spec.cache = false;
-    }
+    plan_off.eval.as_mut().expect("eval spec set").cache = false;
     let opts = RunOptions::with_seed(11).threads(2);
     let arts_of = |plan: &RunPlan| {
         let mut sink = MemorySink::new();
-        run(plan, &opts, &mut sink).expect("pipeline runs");
-        (
-            String::from_utf8(sink.bytes(Artifact::EvalReport).expect("eval.txt written"))
-                .expect("eval.txt is UTF-8"),
-            eval_json_section(&sink.bytes(Artifact::Summary).expect("summary rendered")),
-        )
+        let summary = run(plan, &opts, &mut sink).expect("pipeline runs");
+        let text = String::from_utf8(sink.bytes(Artifact::EvalReport).expect("eval.txt written"))
+            .expect("eval.txt is UTF-8");
+        let eval = summary.eval.expect("eval ran");
+        let cells: Vec<_> = eval
+            .rows
+            .into_iter()
+            .map(|r| (r.query, r.engine, r.outcome, r.count))
+            .collect();
+        (text, eval.cache, cells)
     };
-    let (on_txt, on_json) = arts_of(&plan_on);
-    let (off_txt, off_json) = arts_of(&plan_off);
+    let (on_txt, on_cache, on_cells) = arts_of(&plan_on);
+    let (off_txt, off_cache, off_cells) = arts_of(&plan_off);
     assert!(on_txt.contains("\ncache: on ("), "{on_txt}");
     assert!(off_txt.contains("\ncache: off"), "{off_txt}");
-    let strip = |text: &str| {
-        text.lines()
-            .filter(|l| !l.starts_with("cache: "))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&on_txt), strip(&off_txt), "a cell line moved");
-    assert!(on_json.contains("\"cache\":{\"enabled\":true"), "{on_json}");
-    assert!(
-        off_json.contains("\"cache\":{\"enabled\":false}"),
-        "{off_json}"
-    );
-    let scrub = |json: &str| {
-        let start = json.find("\"cache\":").expect("summary has a cache key");
-        let end = start + json[start..].find('}').expect("cache object closes") + 1;
-        format!("{}{}", &json[..start], &json[end..])
-    };
-    assert_eq!(scrub(&on_json), scrub(&off_json), "an eval row moved");
-}
-
-#[test]
-fn planner_never_changes_answer_cardinalities() {
-    // `--no-plan` vs the default: plans reorder joins, so the evaluation
-    // *cost* differs — which cells exhaust the tuple cap may differ too —
-    // but any cell that completes in both regimes must report the same
-    // answer cardinality.
-    let planned = eval_plan();
-    let mut unplanned = eval_plan();
-    unplanned.eval.as_mut().expect("eval spec set").plan = false;
-    let opts = RunOptions::with_seed(11).threads(2);
-    let rows_of = |plan: &RunPlan| {
-        run_in_memory(plan, &opts)
-            .expect("pipeline runs")
-            .summary
-            .eval
-            .expect("eval ran")
-            .rows
-    };
-    let on = rows_of(&planned);
-    let off = rows_of(&unplanned);
-    assert_eq!(on.len(), off.len());
-    let mut compared = 0;
-    for (a, b) in on.iter().zip(&off) {
-        assert_eq!((a.query, a.engine), (b.query, b.engine));
-        assert!(a.estimate.is_some(), "planner-on rows carry the estimate");
-        assert!(b.estimate.is_none(), "planner-off rows carry none");
-        if let (Some(ca), Some(cb)) = (a.count, b.count) {
-            assert_eq!(ca, cb, "q{} {} cardinality changed", a.query, a.engine);
-            compared += 1;
-        }
-    }
-    assert!(compared > 0, "no cell completed in both regimes");
+    assert!(on_cache.is_some() && off_cache.is_none());
+    assert!(on_cells.iter().any(|c| c.2 == "ok"), "{on_cells:?}");
+    assert_eq!(on_cells, off_cells, "a cell outcome moved");
 }
 
 #[test]
@@ -304,6 +225,7 @@ fn expired_clock_budget_times_out_every_cell_at_every_thread_count() {
     let render_at = |threads: usize| {
         let report = evaluate_matrix(
             &ctx,
+            None,
             &queries,
             &EngineKind::ALL,
             &expired,
@@ -325,7 +247,7 @@ fn expired_clock_budget_times_out_every_cell_at_every_thread_count() {
     // deflaked Budget::check_time_at path): the same budget that judges a
     // later instant expired judges the start instant fine.
     let now = Instant::now();
-    let budget = Budget::with_timeout(Duration::from_secs(3600));
+    let budget = Budget::with_limits(Some(Duration::from_secs(3600)), usize::MAX);
     assert!(budget.check_time_at(now).is_ok());
     assert_eq!(
         budget.check_time_at(now + Duration::from_secs(7200)),
