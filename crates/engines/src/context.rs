@@ -576,10 +576,13 @@ impl<'g> EvalContext<'g> {
 
     /// The Datalog base program (`node` + one `edge_<p>` per predicate,
     /// interned in predicate order) and the extensional database over it,
-    /// built on first use. Per-query programs start from a clone of the
+    /// built on first use: flat fact rows, `node` of arity 1 and each
+    /// `edge_<p>` of arity 2. Per-query programs start from a clone of the
     /// base program — so their `edge_<p>` ids line up with the shared
     /// facts — and evaluate against the borrowed EDB via
-    /// [`crate::datalog::semi_naive_over`].
+    /// [`crate::datalog::semi_naive_over`], which indexes the EDB rows an
+    /// evaluation joins on once and keeps those indexes for its whole
+    /// fixpoint.
     pub fn edb(&self) -> (&Program, &Database) {
         let (program, db) = self.edb.get_or_init(|| {
             let mut program = Program::new();

@@ -303,3 +303,72 @@ fn cli_eval_outputs_are_byte_identical_across_thread_counts() {
         let _ = std::fs::remove_dir_all(out_dir(threads));
     }
 }
+
+/// The Datalog engine's cell outcomes on bib.xml (its own seed), one
+/// engine column, no time limit: `(query, outcome, count)` per row. The
+/// tuple caps sit where some cells report too-large, so these pins lock
+/// the engine's budget charge points as well as its answers.
+fn datalog_cells(nodes: u64, max_tuples: usize) -> Vec<(usize, String, Option<u64>)> {
+    let mut plan = RunPlan::from_config_file(bib_config())
+        .expect("bib.xml parses")
+        .with_nodes(nodes);
+    plan.eval = Some(EvalSpec {
+        engines: vec![EngineKind::Datalog],
+        budget_ms: 0,
+        max_tuples,
+        ..EvalSpec::default()
+    });
+    let summary =
+        run(&plan, &RunOptions::default().threads(1), &mut NullSink).expect("pipeline runs");
+    summary
+        .eval
+        .expect("eval ran")
+        .rows
+        .into_iter()
+        .map(|r| (r.query, r.outcome, r.count))
+        .collect()
+}
+
+fn pinned(rows: &[(usize, &str, Option<u64>)]) -> Vec<(usize, String, Option<u64>)> {
+    rows.iter()
+        .map(|&(q, outcome, count)| (q, outcome.to_owned(), count))
+        .collect()
+}
+
+#[test]
+fn datalog_outcomes_are_pinned_at_250_nodes_cap_100k() {
+    let expected = pinned(&[
+        (0, "ok", Some(23)),
+        (1, "ok", Some(121)),
+        (2, "ok", Some(903)),
+        (3, "ok", Some(23)),
+        (4, "too-large", None),
+        (5, "ok", Some(165)),
+        (6, "ok", Some(204)),
+        (7, "ok", Some(75)),
+        (8, "ok", Some(29)),
+        (9, "ok", Some(23)),
+        (10, "ok", Some(837)),
+        (11, "ok", Some(29)),
+    ]);
+    assert_eq!(datalog_cells(250, 100_000), expected);
+}
+
+#[test]
+fn datalog_outcomes_are_pinned_at_1000_nodes_cap_20k() {
+    let expected = pinned(&[
+        (0, "ok", Some(74)),
+        (1, "ok", Some(539)),
+        (2, "too-large", None),
+        (3, "ok", Some(74)),
+        (4, "too-large", None),
+        (5, "ok", Some(1447)),
+        (6, "ok", Some(1932)),
+        (7, "ok", Some(300)),
+        (8, "ok", Some(302)),
+        (9, "ok", Some(74)),
+        (10, "ok", Some(3156)),
+        (11, "ok", Some(302)),
+    ]);
+    assert_eq!(datalog_cells(1000, 20_000), expected);
+}
